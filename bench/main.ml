@@ -1780,7 +1780,11 @@ let main () =
    (b) the daemon's bytes are identical to a fresh local execute of the
        same request;
    (c) sustained throughput on warm requests at connection concurrency
-       1 / 2 / 4, as a protocol + dispatch overhead measure.
+       1 / 2 / 4, as a protocol + dispatch overhead measure;
+   (d) safety after analyze (tcore16): the first safety request builds
+       the window-independent partition on the cached flow, a request
+       with a new window is still an outcome-cache miss but re-runs only
+       the SEU axis; both answers must equal a fresh local execute.
    Run with: dune exec bench/main.exe -- serve *)
 let serve_bench () =
   let module Sv = Olfu_service in
@@ -1815,7 +1819,31 @@ let serve_bench () =
   in
   let cold, cold_t = time (fun () -> rpc_exn conn (analyze32 1)) in
   let warm, warm_t = time (fun () -> rpc_exn conn (analyze32 2)) in
+  (* (d) warm artifacts: safety after analyze *)
+  let req16 id op =
+    Sv.Request.run ~id ~fmt:Sv.Request.Json ~jobs:4
+      (Sv.Request.Config "tcore16") op
+  in
+  let safety window = Sv.Request.Safety { window; seu_limit = 64 } in
+  ignore (rpc_exn conn (req16 10 (Sv.Request.Analyze { paper = false })));
+  let first, first_t = time (fun () -> rpc_exn conn (req16 11 (safety 4))) in
+  let again, again_t = time (fun () -> rpc_exn conn (req16 12 (safety 3))) in
   Sv.Client.close conn;
+  let fresh window =
+    time (fun () ->
+        fst (Sv.Service.execute (Sv.Session.create ()) (req16 1 (safety window))))
+  in
+  let fresh4, _ = fresh 4 in
+  let fresh3, fresh3_t = fresh 3 in
+  let artifact_ok =
+    (not again.Sv.Response.cache_hit)
+    && first.Sv.Response.output = fresh4.Sv.Response.output
+    && again.Sv.Response.output = fresh3.Sv.Response.output
+  in
+  Format.printf
+    "  safety t16 after analyze: first %.2f s, new window %.2f s (fresh %.2f \
+     s), miss %b, identical %b@."
+    first_t again_t fresh3_t (not again.Sv.Response.cache_hit) artifact_ok;
   let speedup = cold_t /. Float.max warm_t 1e-9 in
   Format.printf
     "  analyze t32: cold %.2f s, warm %.4f s (%.0fx), cache_hit %b@."
@@ -1864,17 +1892,27 @@ let serve_bench () =
     "{\n  \"cold_seconds\": %.6f,\n  \"warm_seconds\": %.6f,\n\
     \  \"speedup\": %.1f,\n  \"warm_cache_hit\": %b,\n\
     \  \"identity_ok\": %b,\n  \"requests_per_client\": %d,\n\
-    \  \"warm_rps\": { %s },\n  \"peak_heap_bytes\": %d\n}\n"
+    \  \"warm_rps\": { %s },\n\
+    \  \"safety_after_analyze\": { \"first_seconds\": %.6f, \
+     \"new_window_seconds\": %.6f, \"fresh_seconds\": %.6f, \
+     \"new_window_cache_hit\": %b, \"identity_ok\": %b },\n\
+    \  \"peak_heap_bytes\": %d\n}\n"
     cold_t warm_t speedup warm.Sv.Response.cache_hit identity_ok
     reqs_per_client
     (String.concat ", "
        (List.map (fun (c, r) -> Printf.sprintf "\"%d\": %.1f" c r) rates))
+    first_t again_t fresh3_t again.Sv.Response.cache_hit artifact_ok
     (peak_heap_bytes ());
   close_out oc;
   Format.printf "  wrote BENCH_serve.json@.";
-  if not (warm.Sv.Response.cache_hit && warm_t < 0.5 *. cold_t && identity_ok)
+  if
+    not
+      (warm.Sv.Response.cache_hit && warm_t < 0.5 *. cold_t && identity_ok
+     && artifact_ok)
   then begin
-    prerr_endline "serve: gate violated (cache hit / 2x warm speedup / identity)";
+    prerr_endline
+      "serve: gate violated (cache hit / 2x warm speedup / identity / \
+       warm-artifact identity)";
     exit 1
   end
 

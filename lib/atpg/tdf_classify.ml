@@ -32,3 +32,23 @@ let count ?jobs t nl =
           done);
       Array.iter (fun c -> n := !n + c) wcount);
   (!n, nu)
+
+let count_of_stuck fl =
+  let site_untestable = ref 0 and sites = ref 0 in
+  Flist.iteri
+    (fun _ (f : Fault.t) st ->
+      if not f.Fault.stuck then begin
+        incr sites;
+        let sa1 = { f with Fault.stuck = true } in
+        let untestable =
+          Status.is_undetectable st
+          ||
+          match Flist.find fl sa1 with
+          | Some j -> Status.is_undetectable (Flist.status fl j)
+          | None -> false
+        in
+        if untestable then incr site_untestable
+      end)
+    fl;
+  (* both polarities of a site share its stuck-at pair *)
+  (2 * !site_untestable, 2 * !sites)

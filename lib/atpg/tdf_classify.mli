@@ -22,3 +22,11 @@ val count : ?jobs:int -> Untestable.t -> Netlist.t -> int * int
     {!Olfu_pool.Pool.default_jobs}) shards the universe across a domain
     pool with per-worker walkers; verdicts are pure per fault, so the
     count is identical for any [jobs]. *)
+
+val count_of_stuck : Flist.t -> int * int
+(** {!count}, read off a classified stuck-at list instead of re-running
+    every verdict: [fl] must be [Flist.full nl] after [Untestable.classify
+    t], whose statuses are then exactly the per-fault verdicts of [t].  A
+    transition fault is untestable iff its site's sa0 or sa1 fault is,
+    both polarities share that pair, and {!Olfu_fault.Tdf.universe} is the
+    stuck-at site set — so this equals [count t nl] in linear time. *)

@@ -7,7 +7,7 @@ type t = {
   index : (Fault.t, int) Hashtbl.t;
 }
 
-let create nl faults =
+let index_of nl faults =
   let index = Hashtbl.create (2 * Array.length faults) in
   Array.iteri
     (fun i f ->
@@ -17,14 +17,38 @@ let create nl faults =
              (Fault.to_string nl f));
       Hashtbl.add index f i)
     faults;
+  index
+
+let fresh nl faults index =
   {
     nl;
-    faults = Array.copy faults;
+    faults;
     status = Array.make (Array.length faults) Status.Not_analyzed;
     index;
   }
 
-let full ?include_ties nl = create nl (Fault.universe ?include_ties nl)
+let create nl faults =
+  let faults = Array.copy faults in
+  fresh nl faults (index_of nl faults)
+
+(* The universe of a netlist never changes, so its faults array and
+   index are built once per netlist and shared read-only by every list
+   [full] returns; only the status array is per list. *)
+type Analysis.cache +=
+  | Universe of bool * (Fault.t array * (Fault.t, int) Hashtbl.t) Once.t
+
+let full ?(include_ties = false) nl =
+  let faults, index =
+    Analysis.memo (Analysis.get nl)
+      (function Universe (it, c) when it = include_ties -> Some c | _ -> None)
+      (fun c -> Universe (include_ties, c))
+      (fun () ->
+        let faults = Fault.universe ~include_ties nl in
+        (faults, index_of nl faults))
+  in
+  fresh nl faults index
+
+let copy t = { t with status = Array.copy t.status }
 
 let netlist t = t.nl
 let size t = Array.length t.faults

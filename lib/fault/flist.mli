@@ -26,7 +26,14 @@ val create : Netlist.t -> Fault.t array -> t
 (** Duplicate faults are rejected ([Invalid_argument]). *)
 
 val full : ?include_ties:bool -> Netlist.t -> t
-(** The complete stuck-at universe of the netlist, all [Not_analyzed]. *)
+(** The complete stuck-at universe of the netlist, all [Not_analyzed].
+    The fault array and its index are memoized per netlist
+    ({!Olfu_netlist.Analysis.memo}) and shared by every list [full]
+    returns; each call allocates only its own statuses. *)
+
+val copy : t -> t
+(** Same faults, independent statuses (copied from [t]): a scratch list
+    whose classification never reaches [t]. *)
 
 val netlist : t -> Netlist.t
 val size : t -> int

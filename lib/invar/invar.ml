@@ -723,18 +723,18 @@ let prove ?(k = 1) ?(conflict_limit = 100_000) ?jobs ?(trace = Trace.null)
 (* Pipeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(seed = 0x11A8) ?(mine_cycles = 96) ?(filter_cycles = 256)
-    ?(max_candidates = 512) ?(k = 1) ?(conflict_limit = 100_000) ?jobs
-    ?(trace = Trace.null) ?(hold = []) ?(no_prove = false) nl =
-  let t0 = Unix.gettimeofday () in
-  Trace.span trace ~cat:"engine" "invar" @@ fun () ->
+(* Mine, then refute by simulation: [(mined, survivors, killed)]. *)
+let screen ?(seed = 0x11A8) ?(mine_cycles = 96) ?(filter_cycles = 256)
+    ?(max_candidates = 512) ~hold nl =
   let mined = mine ~seed ~cycles:mine_cycles ~hold ~max_candidates nl in
   let survivors, killed =
     filter ~seed:(seed + 1) ~cycles:filter_cycles ~hold nl mined
   in
+  (mined, survivors, killed)
+
+let report_of ~trace ~k ~t0 nl (mined, survivors, killed) proof =
   let proved, unproved =
-    if no_prove then ([], survivors)
-    else prove ~k ~conflict_limit ?jobs ~trace ~hold nl survivors
+    match proof with None -> ([], survivors) | Some p -> p
   in
   let r =
     {
@@ -754,6 +754,44 @@ let run ?(seed = 0x11A8) ?(mine_cycles = 96) ?(filter_cycles = 256)
     Trace.add trace "invar.unproved" (List.length unproved)
   end;
   r
+
+let run ?seed ?mine_cycles ?filter_cycles ?max_candidates ?(k = 1)
+    ?conflict_limit ?jobs ?(trace = Trace.null) ?(hold = []) ?(no_prove = false)
+    nl =
+  let t0 = Unix.gettimeofday () in
+  Trace.span trace ~cat:"engine" "invar" @@ fun () ->
+  let ((_, survivors, _) as screened) =
+    screen ?seed ?mine_cycles ?filter_cycles ?max_candidates ~hold nl
+  in
+  report_of ~trace ~k ~t0 nl screened
+    (if no_prove then None
+     else Some (prove ~k ?conflict_limit ?jobs ~trace ~hold nl survivors))
+
+type Analysis.cache +=
+  | Screened of
+      (int * bool) list * (candidate list * candidate list * candidate list) Once.t
+  | Proved of
+      ((int * bool) list * int) * (invariant list * candidate list) Once.t
+
+let shared ?(k = 1) ?(no_prove = false) ?jobs ?(trace = Trace.null)
+    ?(hold = []) nl =
+  let t0 = Unix.gettimeofday () in
+  let a = Analysis.get nl in
+  Trace.span trace ~cat:"engine" "invar" @@ fun () ->
+  let ((_, survivors, _) as screened) =
+    Analysis.memo a
+      (function Screened (h, c) when h = hold -> Some c | _ -> None)
+      (fun c -> Screened (hold, c))
+      (fun () -> screen ~hold nl)
+  in
+  report_of ~trace ~k ~t0 nl screened
+    (if no_prove then None
+     else
+       Some
+         (Analysis.memo a
+            (function Proved (key, c) when key = (hold, k) -> Some c | _ -> None)
+            (fun c -> Proved ((hold, k), c))
+            (fun () -> prove ~k ?jobs ~trace ~hold nl survivors)))
 
 let count_by_class r =
   let classes = [ "const"; "implies"; "mutex"; "at-most-one"; "range" ] in

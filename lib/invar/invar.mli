@@ -163,6 +163,22 @@ val run :
     the jobs-invariant counters ["invar.mined"], ["invar.killed"],
     ["invar.proved"], ["invar.unproved"]. *)
 
+val shared :
+  ?k:int ->
+  ?no_prove:bool ->
+  ?jobs:int ->
+  ?trace:Olfu_obs.Trace.sink ->
+  ?hold:(int * bool) list ->
+  Netlist.t ->
+  report
+(** {!run} at its default mining and proof parameters, memoized on the
+    netlist ({!Olfu_netlist.Analysis.memo}): mining and filtering run
+    once per [hold] set, shared by [no_prove] and every [k]; the proof
+    runs once per [(hold, k)].  Equal to [run ?k ?no_prove ?hold nl] in
+    every field but [seconds], which is this call's wall time.  The
+    analysis service and the safety classifier share reports through
+    it; tests and benches that compare runs call {!run}. *)
+
 (** {2 Consumption — proved invariants only} *)
 
 val const_facts : report -> (int * bool) list

@@ -45,15 +45,15 @@ type t = {
   limits : thresholds;
   software : software option;
   invariants : invariants option;
-  ternary : Olfu_atpg.Ternary.t Lazy.t;
-  mission_ternary : Olfu_atpg.Ternary.t Lazy.t;
-  scoap : Olfu_atpg.Scoap.t Lazy.t;
-  observe : Olfu_atpg.Observe.t Lazy.t;
-  dead : int list Lazy.t;
-  chains : chain list Lazy.t;
-  chain_cells : (int, unit) Hashtbl.t Lazy.t;
-  si_cycles : int list list Lazy.t;
-  slice : Olfu_slice.Slice.t Lazy.t;
+  ternary : Olfu_atpg.Ternary.t Once.t;
+  mission_ternary : Olfu_atpg.Ternary.t Once.t;
+  scoap : Olfu_atpg.Scoap.t Once.t;
+  observe : Olfu_atpg.Observe.t Once.t;
+  dead : int list Once.t;
+  chains : chain list Once.t;
+  chain_cells : (int, unit) Hashtbl.t Once.t;
+  si_cycles : int list list Once.t;
+  slice : Olfu_slice.Slice.t Once.t;
 }
 
 let node_label nl i =
@@ -238,8 +238,8 @@ let combined_assume nl software =
   @ (match software with Some s -> s.sw_assume | None -> [])
 
 let create ?(thresholds = default_thresholds) ?software ?invariants nl =
-  let chains = lazy (trace_chains nl) in
-  let ternary = lazy (Olfu_atpg.Ternary.run nl) in
+  let chains = Once.make (fun () -> trace_chains nl) in
+  let ternary = Once.make (fun () -> Olfu_atpg.Ternary.run nl) in
   {
     nl;
     limits = thresholds;
@@ -247,24 +247,26 @@ let create ?(thresholds = default_thresholds) ?software ?invariants nl =
     invariants;
     ternary;
     mission_ternary =
-      lazy (Olfu_atpg.Ternary.run ~assume:(combined_assume nl software) nl);
-    scoap = lazy (Olfu_atpg.Scoap.run nl);
+      Once.make (fun () ->
+          Olfu_atpg.Ternary.run ~assume:(combined_assume nl software) nl);
+    scoap = Once.make (fun () -> Olfu_atpg.Scoap.run nl);
     observe =
-      lazy
-        (Olfu_atpg.Observe.run nl
-           ~consts:(Lazy.force ternary).Olfu_atpg.Ternary.values);
-    dead = lazy (compute_dead nl);
+      Once.make (fun () ->
+          Olfu_atpg.Observe.run nl
+            ~consts:(Once.force ternary).Olfu_atpg.Ternary.values);
+    dead = Once.make (fun () -> compute_dead nl);
     chains;
     chain_cells =
-      lazy
-        (let h = Hashtbl.create 97 in
-         List.iter
-           (fun c -> List.iter (fun hp -> Hashtbl.replace h hp.cell ()) c.hops)
-           (Lazy.force chains);
-         h);
-    si_cycles = lazy (compute_si_cycles nl);
+      Once.make (fun () ->
+          let h = Hashtbl.create 97 in
+          List.iter
+            (fun c -> List.iter (fun hp -> Hashtbl.replace h hp.cell ()) c.hops)
+            (Once.force chains);
+          h);
+    si_cycles = Once.make (fun () -> compute_si_cycles nl);
     slice =
-      lazy (Olfu_slice.Slice.build ~assume:(combined_assume nl software) nl);
+      Once.make (fun () ->
+          Olfu_slice.Slice.build ~assume:(combined_assume nl software) nl);
   }
 
 let nl t = t.nl
@@ -273,12 +275,12 @@ let software t = t.software
 let invariants t = t.invariants
 let assumptions t = combined_assume t.nl t.software
 let name t i = node_label t.nl i
-let ternary t = Lazy.force t.ternary
-let mission_ternary t = Lazy.force t.mission_ternary
-let scoap t = Lazy.force t.scoap
-let observe t = Lazy.force t.observe
-let dead_nodes t = Lazy.force t.dead
-let chains t = Lazy.force t.chains
-let chain_cells t = Lazy.force t.chain_cells
-let si_cycles t = Lazy.force t.si_cycles
-let slice t = Lazy.force t.slice
+let ternary t = Once.force t.ternary
+let mission_ternary t = Once.force t.mission_ternary
+let scoap t = Once.force t.scoap
+let observe t = Once.force t.observe
+let dead_nodes t = Once.force t.dead
+let chains t = Once.force t.chains
+let chain_cells t = Once.force t.chain_cells
+let si_cycles t = Once.force t.si_cycles
+let slice t = Once.force t.slice

@@ -7,7 +7,9 @@ open Olfu_netlist
     implication, SCOAP, X-path observability, dead-cone reachability,
     scan-path tracing) is computed lazily and memoized here, so a run of
     the full registry performs each analysis at most once no matter how
-    many rules consume it.
+    many rules consume it.  Each artifact is a {!Olfu_netlist.Once.t}, so
+    one context may serve rule runs on several domains at once (the
+    analysis service shares a context across requests).
 
     The scan tracer is deliberately richer than
     [Olfu_manip.Scan_trace.trace] (which this library must not depend on —

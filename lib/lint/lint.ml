@@ -1,4 +1,5 @@
 open Olfu_netlist
+module Trace = Olfu_obs.Trace
 
 type outcome = {
   netlist : Netlist.t;
@@ -12,12 +13,38 @@ type outcome = {
 let registry = Builtin.all
 let find_rule code = List.find_opt (fun r -> r.Rule.code = code) registry
 
-let run ?(config = Config.default) ?software ?invariants nl =
-  let ctx =
-    Ctx.create ~thresholds:config.Config.thresholds ?software ?invariants nl
+type context = {
+  ctx : Ctx.t;
+  raws : (string, Rule.raw list Once.t) Hashtbl.t;
+  m : Mutex.t;
+}
+
+let context ?thresholds ?software ?invariants nl =
+  {
+    ctx = Ctx.create ?thresholds ?software ?invariants nl;
+    raws = Hashtbl.create 64;
+    m = Mutex.create ();
+  }
+
+(* A rule's raw findings depend on the context alone, so each rule runs
+   at most once per context, whichever request enables it first. *)
+let raw_findings c (r : Rule.t) =
+  let cell =
+    Mutex.protect c.m (fun () ->
+        match Hashtbl.find_opt c.raws r.Rule.code with
+        | Some cell -> cell
+        | None ->
+          let cell = Once.make (fun () -> r.Rule.run c.ctx) in
+          Hashtbl.add c.raws r.Rule.code cell;
+          cell)
   in
+  Once.force cell
+
+let apply ?(config = Config.default) ?(trace = Trace.null) c =
+  let nl = Ctx.nl c.ctx in
   let rules = List.filter (Config.rule_enabled config) registry in
   let all =
+    Trace.span trace ~cat:"engine" "lint" @@ fun () ->
     List.concat_map
       (fun (r : Rule.t) ->
         let severity = Config.effective_severity config r in
@@ -30,7 +57,7 @@ let run ?(config = Config.default) ?software ?invariants nl =
               node = raw.Rule.r_node;
               path = raw.Rule.r_path;
             })
-          (r.Rule.run ctx))
+          (raw_findings c r))
       rules
   in
   let used = Hashtbl.create 7 in
@@ -58,6 +85,10 @@ let run ?(config = Config.default) ?software ?invariants nl =
     List.filter (fun w -> not (Hashtbl.mem used w)) config.Config.waivers
   in
   { netlist = nl; findings; waived; baselined; unused_waivers; rules }
+
+let run ?(config = Config.default) ?software ?invariants nl =
+  apply ~config
+    (context ~thresholds:config.Config.thresholds ?software ?invariants nl)
 
 let findings ?config ?software ?invariants nl =
   (run ?config ?software ?invariants nl).findings

@@ -18,6 +18,26 @@ val registry : Rule.t list
 
 val find_rule : string -> Rule.t option
 
+type context
+(** A {!Ctx.t} plus each rule's raw findings, memoized: whatever a rule
+    emits depends on the context alone, while severities, waivers and
+    baselines are applied per run.  Safe to share across domains. *)
+
+val context :
+  ?thresholds:Ctx.thresholds ->
+  ?software:Ctx.software ->
+  ?invariants:Ctx.invariants ->
+  Netlist.t ->
+  context
+(** Builds nothing yet: every analysis and rule runs when a run first
+    needs it. *)
+
+val apply : ?config:Config.t -> ?trace:Olfu_obs.Trace.sink -> context -> outcome
+(** Runs the rules [config] enables on the context — each rule's first
+    run is memoized — and applies severities, waivers and the baseline.
+    [config.thresholds] is ignored: the context fixed them.  A recording
+    [trace] gets one ["lint"] engine span. *)
+
 val run :
   ?config:Config.t ->
   ?software:Ctx.software ->
@@ -29,7 +49,8 @@ val run :
     waiver or a baseline fingerprint are moved to [waived]/[baselined].
     [software] supplies program-side facts to the SW-* rules and to
     {!Ctx.mission_ternary}; [invariants] supplies proved state facts to
-    the INV-* rules (each family stays silent without its facts). *)
+    the INV-* rules (each family stays silent without its facts).
+    [apply] over a fresh {!context}. *)
 
 val findings :
   ?config:Config.t ->

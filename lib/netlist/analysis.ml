@@ -55,6 +55,17 @@ let add_cache t c =
   t.extra <- t.extra @ [ c ];
   Mutex.unlock t.cm
 
+let memo t find wrap build =
+  let cell =
+    match find_cache t find with
+    | Some c -> c
+    | None ->
+      add_cache t (wrap (Once.make build));
+      (* re-read: if a sibling domain published first, its cell wins *)
+      Option.get (find_cache t find)
+  in
+  Once.force cell
+
 type scratch = {
   owner : t;
   fval : Dualrail.t array;

@@ -27,18 +27,27 @@ type cache = ..
 (** Extension point for downstream engines that want a derived structure
     memoized per netlist without a dependency from this library onto
     theirs (the slice graph of [Olfu_slice] is the canonical user): the
-    engine declares [type Analysis.cache += My_thing of t'] and stores
-    one value per analysis.  No [Obj.magic]: the extensible variant is
+    engine declares [type Analysis.cache += My_thing of t' Once.t] and
+    reads it through {!memo}.  No [Obj.magic]: the extensible variant is
     the type-safe version of the same trick. *)
 
-val find_cache : t -> (cache -> 'a option) -> 'a option
-(** First cached entry the projection accepts, under the analysis lock.
-    Entries are kept in publication order, so concurrent builders race
-    benignly: the first published value of a constructor is the one
-    every later call sees. *)
-
-val add_cache : t -> cache -> unit
-(** Appends a cache entry (never replaces — see {!find_cache}). *)
+val memo : t -> (cache -> 'a Once.t option) -> ('a Once.t -> cache) -> (unit -> 'a) -> 'a
+(** [memo t find wrap build]: the artifact [find] selects, built by
+    [build] the first time any domain asks for it.  Entries are kept in
+    publication order under the analysis lock and a lookup takes the
+    first one [find] accepts, so concurrent first requests share one
+    {!Once.t} cell and one build.  An artifact keyed by more than the
+    netlist carries its key in the constructor and [find] matches on it:
+    {[
+      type Analysis.cache += Report of int * report Once.t
+      let report nl ~k =
+        Analysis.memo (Analysis.get nl)
+          (function Report (k', c) when k' = k -> Some c | _ -> None)
+          (fun c -> Report (k, c))
+          (fun () -> build nl ~k)
+    ]}
+    The value lives as long as the netlist and is shared by every
+    caller: it must be read-only. *)
 
 val digest : t -> string
 (** Hex content digest of the netlist: cell kinds, fanin wiring, net

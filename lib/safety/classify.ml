@@ -60,25 +60,50 @@ let base_tally statuses =
     base_classes
 
 (* The BMC machine: the mission netlist with the scan interface held
-   functional, as in the implication-oracle spot checks. *)
-let bmc_machine mnl =
-  let script =
-    List.filter_map
-      (fun n ->
-        if Netlist.find mnl n <> None then
-          Some (Script.Tie_input (n, Olfu_logic.Logic4.L0))
-        else None)
-      [ "scan_en"; "scan_in0" ]
-  in
-  if script = [] then mnl else Script.apply mnl script
+   functional, as in the implication-oracle spot checks.  Memoized on the
+   mission netlist, so every consumer of one flow report gets the same
+   physical machine — and with it the machine's own memoized artifacts
+   (invariant reports, slice graph). *)
+type Analysis.cache += Bmc_machine of Netlist.t Once.t
 
-let run ?(config = default) ~facts nl mission =
+let bmc_machine mnl =
+  Analysis.memo (Analysis.get mnl)
+    (function Bmc_machine c -> Some c | _ -> None)
+    (fun c -> Bmc_machine c)
+    (fun () ->
+      let script =
+        List.filter_map
+          (fun n ->
+            if Netlist.find mnl n <> None then
+              Some (Script.Tie_input (n, Olfu_logic.Logic4.L0))
+            else None)
+          [ "scan_en"; "scan_in0" ]
+      in
+      if script = [] then mnl else Script.apply mnl script)
+
+(* Everything but the SEU axis: a report whose [seu] is still empty. *)
+type partition = report
+
+let no_seu =
+  {
+    Seu.window = 0;
+    total_ffs = 0;
+    results = [||];
+    masked = 0;
+    protected_ = 0;
+    vulnerable = 0;
+    unknown = 0;
+  }
+
+let partition ?(config = default) ~facts (flow : Olfu.Flow.report) mission =
   let rc = config.rc in
   let trace = rc.Olfu.Run_config.trace in
   let t0 = Unix.gettimeofday () in
-  (* 1. the existing identification flow: structural + conflict verdicts *)
-  let flow = Olfu.Flow.run rc nl mission in
-  let fl = flow.Olfu.Flow.flist in
+  (* 1. the identification flow's structural + conflict verdicts, on a
+     copy: the passes below rewrite statuses, and the caller's flow
+     report (a daemon's cached analyze) must stay untouched *)
+  let fl = Flist.copy flow.Olfu.Flow.flist in
+  let flow = { flow with Olfu.Flow.flist = fl } in
   let mnl = flow.Olfu.Flow.mission_netlist in
   let size = Flist.size fl in
   let before = Array.init size (Flist.status fl) in
@@ -128,7 +153,7 @@ let run ?(config = default) ~facts nl mission =
   let machine = bmc_machine mnl in
   let invariants =
     if config.invariants then
-      Some (Invar.run ~jobs:rc.Olfu.Run_config.jobs ~trace machine)
+      Some (Invar.shared ~jobs:rc.Olfu.Run_config.jobs ~trace machine)
     else None
   in
   let before_inv = Array.init size (Flist.status fl) in
@@ -177,19 +202,7 @@ let run ?(config = default) ~facts nl mission =
   let counts =
     Array.to_list (Array.map (fun c -> (c, count c)) Taxonomy.safe_classes)
   in
-  (* 4. transient axis on the BMC machine, with the proved invariants
-     restricting the pre-upset state to the reachable
-     over-approximation *)
-  let bmc_nl = machine in
-  let seu =
-    Seu.run ~window:config.window ~conflict_limit:config.conflict_limit
-      ~limit:config.seu_limit ~jobs:rc.Olfu.Run_config.jobs ~trace
-      ~observable_output:observable
-      ~invariants:
-        (match invariants with Some ir -> ir.Invar.proved | None -> [])
-      bmc_nl
-  in
-  (* 5. consistency against the pre-software verdicts *)
+  (* 4. consistency against the pre-software verdicts *)
   let violations = ref [] in
   let note fmt = Format.kasprintf (fun s -> violations := s :: !violations) fmt in
   let after = Array.init size (Flist.status fl) in
@@ -235,12 +248,37 @@ let run ?(config = default) ~facts nl mission =
     invariant_safe;
     invariant_by;
     invariants;
-    seu;
-    bmc_netlist = bmc_nl;
+    seu = no_seu;
+    bmc_netlist = machine;
     observable;
     consistency = List.rev !violations;
     seconds = Unix.gettimeofday () -. t0;
   }
+
+(* The transient axis on the BMC machine, with the proved invariants
+   restricting the pre-upset state to the reachable over-approximation.
+   [seconds] adds up the whole analysis: flow, partition and SEU. *)
+let seu_axis ?(config = default) (p : partition) =
+  let rc = config.rc in
+  let t0 = Unix.gettimeofday () in
+  let seu =
+    Seu.run ~window:config.window ~conflict_limit:config.conflict_limit
+      ~limit:config.seu_limit ~jobs:rc.Olfu.Run_config.jobs
+      ~trace:rc.Olfu.Run_config.trace ~observable_output:p.observable
+      ~invariants:
+        (match p.invariants with Some ir -> ir.Invar.proved | None -> [])
+      p.bmc_netlist
+  in
+  {
+    p with
+    seu;
+    seconds =
+      p.flow.Olfu.Flow.seconds +. p.seconds +. (Unix.gettimeofday () -. t0);
+  }
+
+let run ?(config = default) ~facts nl mission =
+  let flow = Olfu.Flow.run config.rc nl mission in
+  seu_axis ~config (partition ~config ~facts flow mission)
 
 let consistent r = r.consistency = []
 

@@ -77,7 +77,34 @@ val bmc_machine : Netlist.t -> Netlist.t
     ([scan_en] / [scan_in0] tied to 0 when present).  Only input kinds
     change, so node ids are stable — facts proved on this machine apply
     to the same ids of the mission netlist under the on-line
-    assumption. *)
+    assumption.  Memoized per mission netlist
+    ({!Olfu_netlist.Analysis.memo}): repeated calls return the same
+    physical machine, so its invariant reports and slice graph are
+    shared too. *)
+
+type partition
+(** Everything a safety run computes before the SEU axis: the
+    software-safe and invariant-safe passes, the class partition, the
+    consistency audit and the absint facts — none of which depends on
+    [window], [seu_limit] or [conflict_limit]. *)
+
+val partition :
+  ?config:config ->
+  facts:Olfu_absint.Absint.activation_facts ->
+  Olfu.Flow.report ->
+  Olfu.Mission.t ->
+  partition
+(** The window-independent part, on top of a finished flow report for
+    the same netlist under [config.rc]'s [ff_mode]/[implic].  The passes
+    run on a copy of the report's fault list ({!Olfu_fault.Flist.copy}):
+    the given report is never modified, so a cached flow can be reused;
+    the result's [flow] carries the rewritten copy.  The invariants come
+    from {!Olfu_invar.Invar.shared} on {!bmc_machine}. *)
+
+val seu_axis : ?config:config -> partition -> report
+(** Completes a partition with the SEU axis under [config]'s [window],
+    [seu_limit] and [conflict_limit]; [seconds] covers flow, partition
+    and SEU. *)
 
 val run :
   ?config:config ->
@@ -90,6 +117,7 @@ val run :
     set; with no resolvable facts the software pass is skipped (zero
     software-safe faults, never a claim).
 
+    [run] is {!Olfu.Flow.run}, then {!partition}, then {!seu_axis}.
     A recording trace (via [config.rc.trace]) gets the flow's spans plus
     ["Software safe"] and ["Invariant safe"] step spans, the
     {!Olfu_invar.Invar.run} and {!Seu.run} spans/counters, and the

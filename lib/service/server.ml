@@ -129,7 +129,10 @@ let serve cfg =
     {
       cfg;
       listen_fd;
-      session = Session.create ?byte_budget:cfg.byte_budget ();
+      session =
+        Session.create
+          ~byte_budget:(Option.value cfg.byte_budget ~default:(1 lsl 30))
+          ();
       stop = Atomic.make false;
       served = Atomic.make 0;
       audit_m = Mutex.create ();

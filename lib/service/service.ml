@@ -3,6 +3,8 @@ module Trace = Olfu_obs.Trace
 module Manifest = Olfu_obs.Manifest
 module Netlist = Olfu_netlist.Netlist
 module Cell = Olfu_netlist.Cell
+module Analysis = Olfu_netlist.Analysis
+module Once = Olfu_netlist.Once
 module Req = Request
 module Resp = Response
 
@@ -111,14 +113,16 @@ let require_cfg (l : Session.loaded) op =
     badf "%s requires a generated configuration (tcore32|tcore32_dft|tcore16)"
       op
 
-(* The shared flow artifact: analyze, invar, slice and coverage all
-   start from the same report, so a warm session runs it once. *)
+(* The flow's inputs beyond the netlist. *)
+let flow_variant (r : Req.run) =
+  Printf.sprintf "%s/%s"
+    (Olfu.Run_config.ff_mode_name r.ff_mode)
+    (if r.implic then "implic" else "noimplic")
+
+(* The shared flow artifact: analyze, invar, slice, safety and coverage
+   all start from the same report, so a warm session runs it once. *)
 let flow_of session sink (r : Req.run) (l : Session.loaded) =
-  let key =
-    Printf.sprintf "%s/flow/%s/%s" l.Session.digest
-      (Olfu.Run_config.ff_mode_name r.ff_mode)
-      (if r.implic then "implic" else "noimplic")
-  in
+  let key = l.Session.digest ^ "/flow/" ^ flow_variant r in
   match
     Session.memo session key (fun () ->
         Session.Flow (Olfu.Flow.run (rc_of sink r) l.Session.nl l.Session.mission))
@@ -273,7 +277,57 @@ let exec_analyze session sink (r : Req.run) l ~paper =
         ("dominance_pruned", J.Int flow.dominance_pruned);
       ] )
 
-let exec_lint _session _sink (_r : Req.run) (l : Session.loaded) ~waivers
+(* The lint context of a loaded netlist, one per fact set: the
+   analyses and each rule's raw findings are built once and shared by
+   every later request, whatever rules, severities, waivers or baseline
+   it asks for. *)
+type Analysis.cache += Lint_context of (bool * bool) * Olfu_lint.Lint.context Once.t
+
+let lint_context sink (l : Session.loaded) ~software ~invariants =
+  let module L = Olfu_lint in
+  let nl = l.Session.nl in
+  let key = (software, invariants) in
+  Analysis.memo (Analysis.get nl)
+    (function Lint_context (k, c) when k = key -> Some c | _ -> None)
+    (fun c -> Lint_context (key, c))
+    (fun () ->
+      let sw =
+        if not software then None
+        else
+          match l.Session.cfg with
+          | None -> badf "--software requires a generated configuration"
+          | Some cfg ->
+            let named =
+              List.map
+                (fun p ->
+                  ( p.Olfu_sbst.Programs.pname,
+                    Olfu_absint.Absint.of_program cfg p ))
+                (Olfu_sbst.Programs.suite cfg)
+            in
+            Some
+              (Olfu_absint.Absint.software_facts
+                 ~label:(cfg.Olfu_soc.Soc.name ^ "-suite")
+                 cfg nl named)
+      in
+      let inv =
+        if not invariants then None
+        else
+          let module Inv = Olfu_invar.Invar in
+          let hold =
+            List.concat_map
+              (fun role ->
+                Netlist.nodes_with_role nl role
+                |> Array.to_list
+                |> List.filter (fun i ->
+                       Cell.equal_kind (Netlist.kind nl i) Cell.Input)
+                |> List.map (fun i -> (i, false)))
+              [ Netlist.Debug_control; Netlist.Scan_enable; Netlist.Scan_in ]
+          in
+          Some (Inv.lint_facts (Inv.shared ~trace:sink ~hold nl))
+      in
+      L.Lint.context ?software:sw ?invariants:inv nl)
+
+let exec_lint _session sink (_r : Req.run) (l : Session.loaded) ~waivers
     ~baseline ~disabled ~software ~invariants ~fail_on =
   let module L = Olfu_lint in
   let nl = l.Session.nl in
@@ -296,40 +350,10 @@ let exec_lint _session _sink (_r : Req.run) (l : Session.loaded) ~waivers
   let config =
     { L.Config.default with L.Config.waivers; baseline; disabled }
   in
-  let sw =
-    if not software then None
-    else
-      match l.Session.cfg with
-      | None -> badf "--software requires a generated configuration"
-      | Some cfg ->
-        let named =
-          List.map
-            (fun p ->
-              (p.Olfu_sbst.Programs.pname, Olfu_absint.Absint.of_program cfg p))
-            (Olfu_sbst.Programs.suite cfg)
-        in
-        Some
-          (Olfu_absint.Absint.software_facts
-             ~label:(cfg.Olfu_soc.Soc.name ^ "-suite")
-             cfg nl named)
+  let o =
+    L.Lint.apply ~config ~trace:sink
+      (lint_context sink l ~software ~invariants)
   in
-  let inv =
-    if not invariants then None
-    else
-      let module Inv = Olfu_invar.Invar in
-      let hold =
-        List.concat_map
-          (fun role ->
-            Netlist.nodes_with_role nl role
-            |> Array.to_list
-            |> List.filter (fun i ->
-                   Cell.equal_kind (Netlist.kind nl i) Cell.Input)
-            |> List.map (fun i -> (i, false)))
-          [ Netlist.Debug_control; Netlist.Scan_enable; Netlist.Scan_in ]
-      in
-      Some (Inv.lint_facts (Inv.run ~hold nl))
-  in
-  let o = L.Lint.run ~config ?software:sw ?invariants:inv nl in
   let fail =
     match fail_on with
     | Req.Never -> false
@@ -358,15 +382,16 @@ let exec_implic _session sink (r : Req.run) (l : Session.loaded) ~learn_depth
   let module I = Olfu_atpg.Implic in
   let nl = l.Session.nl in
   let jobs = r.jobs in
-  ignore sink;
-  let t = U.analyze ~ff_mode:r.ff_mode ~learn_depth ~learn_budget nl in
+  let t =
+    U.analyze ~ff_mode:r.ff_mode ~learn_depth ~learn_budget ~trace:sink nl
+  in
   let ui =
     if not invariants then 0
     else
       let module Inv = Olfu_invar.Invar in
-      let ir = Inv.run ~jobs nl in
+      let ir = Inv.shared ~jobs ~trace:sink nl in
       let strengthened =
-        U.analyze ~learn_depth ~learn_budget
+        U.analyze ~learn_depth ~learn_budget ~trace:sink
           ~consts:
             (Olfu_atpg.Ternary.run ~ff_mode:r.ff_mode
                ~assume:(Inv.assume_facts ir) nl)
@@ -384,7 +409,7 @@ let exec_implic _session sink (r : Req.run) (l : Session.loaded) ~learn_depth
   let scr = I.Scratch.create db in
   let conflicts = I.conflict_nets ~limit:10 db scr in
   let fl = Olfu_fault.Flist.full nl in
-  let classified = U.classify ~jobs t fl in
+  let classified = U.classify ~jobs ~trace:sink t fl in
   let count c =
     Olfu_fault.Flist.count_status fl (Olfu_fault.Status.Undetectable c)
   in
@@ -392,7 +417,10 @@ let exec_implic _session sink (r : Req.run) (l : Session.loaded) ~learn_depth
   and ub = count Olfu_fault.Status.Blocked
   and uc = count Olfu_fault.Status.Conflict
   and us = count Olfu_fault.Status.Software in
-  let tdf_un, tdf_univ = Olfu_atpg.Tdf_classify.count ~jobs t nl in
+  let tdf_un, tdf_univ =
+    Trace.span sink ~cat:"engine" "tdf" (fun () ->
+        Olfu_atpg.Tdf_classify.count_of_stuck fl)
+  in
   let net_name n =
     match Netlist.name nl n with
     | Some x -> x
@@ -655,7 +683,7 @@ let exec_invar session sink (r : Req.run) (l : Session.loaded) ~k ~no_prove =
   let module Sc = Olfu_safety.Classify in
   let flow, _ = flow_of session sink r l in
   let machine = Sc.bmc_machine flow.Olfu.Flow.mission_netlist in
-  let res = Inv.run ~k ~jobs:r.jobs ~trace:sink ~no_prove machine in
+  let res = Inv.shared ~k ~jobs:r.jobs ~trace:sink ~no_prove machine in
   let cand_str c = Format.asprintf "%a" (Inv.pp_candidate machine) c in
   let payload =
     J.Obj
@@ -711,7 +739,11 @@ let exec_invar session sink (r : Req.run) (l : Session.loaded) ~k ~no_prove =
     flow_meta flow [ ("invariants_proved", J.Int (List.length res.Inv.proved)) ]
   )
 
-let exec_safety _session sink (r : Req.run) (l : Session.loaded) ~window
+(* The window-independent part of a safety run, one per flow variant:
+   a new window or SEU limit only re-runs the SEU axis. *)
+type Analysis.cache += Safety_partition of string * Olfu_safety.Classify.partition Once.t
+
+let exec_safety session sink (r : Req.run) (l : Session.loaded) ~window
     ~seu_limit =
   let module A = Olfu_absint.Absint in
   let module P = Olfu_sbst.Programs in
@@ -719,17 +751,26 @@ let exec_safety _session sink (r : Req.run) (l : Session.loaded) ~window
   let module T = Olfu_safety.Taxonomy in
   let module Seu = Olfu_safety.Seu in
   let cfg = require_cfg l "safety" in
-  let nl = l.Session.nl in
-  let named =
-    List.map (fun p -> (p.P.pname, A.of_program cfg p)) (P.suite cfg)
-  in
-  let facts =
-    A.activation_facts ~label:(cfg.Olfu_soc.Soc.name ^ "-suite") cfg named
-  in
   let config =
     { Sc.default with Sc.rc = rc_of sink r; window; seu_limit }
   in
-  let res = Sc.run ~config ~facts nl l.Session.mission in
+  let key = flow_variant r in
+  let part =
+    Analysis.memo (Analysis.get l.Session.nl)
+      (function Safety_partition (k, c) when k = key -> Some c | _ -> None)
+      (fun c -> Safety_partition (key, c))
+      (fun () ->
+        let flow, _ = flow_of session sink r l in
+        let named =
+          List.map (fun p -> (p.P.pname, A.of_program cfg p)) (P.suite cfg)
+        in
+        let facts =
+          A.activation_facts ~label:(cfg.Olfu_soc.Soc.name ^ "-suite") cfg
+            named
+        in
+        Sc.partition ~config ~facts flow l.Session.mission)
+  in
+  let res = Sc.seu_axis ~config part in
   let seu_counts =
     [
       ("seu_masked", res.Sc.seu.Seu.masked);

@@ -30,7 +30,7 @@ type entry = { value : value; bytes : int; mutable tick : int }
 
 type t = {
   tbl : (string, entry) Hashtbl.t;
-  budget : int;
+  budget : int option;
   m : Mutex.t;
   mutable used : int;
   mutable clock : int;
@@ -39,7 +39,7 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?(byte_budget = 1 lsl 30) () =
+let create ?byte_budget () =
   {
     tbl = Hashtbl.create 64;
     budget = byte_budget;
@@ -73,10 +73,10 @@ let find t key =
         t.hits <- t.hits + 1;
         Some e.value)
 
-let evict_locked t ~keep =
+let evict_locked t budget ~keep =
   let exception Done in
   try
-    while t.used > t.budget && Hashtbl.length t.tbl > 1 do
+    while t.used > budget && Hashtbl.length t.tbl > 1 do
       let victim =
         Hashtbl.fold
           (fun k e acc ->
@@ -97,7 +97,8 @@ let evict_locked t ~keep =
   with Done -> ()
 
 let add t key value =
-  let bytes = size_of value in
+  (* an unbudgeted session never evicts, so it never sizes *)
+  let bytes = match t.budget with None -> 0 | Some _ -> size_of value in
   locked t (fun () ->
       (match Hashtbl.find_opt t.tbl key with
       | Some old ->
@@ -107,7 +108,7 @@ let add t key value =
       t.clock <- t.clock + 1;
       Hashtbl.replace t.tbl key { value; bytes; tick = t.clock };
       t.used <- t.used + bytes;
-      evict_locked t ~keep:key)
+      Option.iter (fun budget -> evict_locked t budget ~keep:key) t.budget)
 
 let memo t key build =
   match find t key with
@@ -122,7 +123,7 @@ let stats t =
       {
         entries = Hashtbl.length t.tbl;
         bytes = t.used;
-        budget = t.budget;
+        budget = Option.value t.budget ~default:0;
         hits = t.hits;
         misses = t.misses;
         evictions = t.evictions;

@@ -12,7 +12,15 @@
     Eviction is LRU under a byte budget measured with
     [Obj.reachable_words] at insertion time.  The most recently added
     entry is never evicted (a single oversized artifact still completes
-    its request; the budget re-asserts itself on the next insert).
+    its request; the budget re-asserts itself on the next insert).  A
+    session created without a budget (a one-shot CLI run) neither sizes
+    nor evicts.
+
+    The session holds finished values only.  The per-netlist artifacts
+    a miss reuses (fault universe, safety partition, lint context,
+    invariant reports) hang off the loaded netlist through
+    {!Olfu_netlist.Analysis.memo}: they live as long as its [Loaded]
+    entry and are not counted in [bytes].
 
     All operations are thread-safe (one mutex around the table);
     {!memo} runs its build function {e outside} the lock so concurrent
@@ -48,7 +56,7 @@ type value =
 type stats = {
   entries : int;
   bytes : int;  (** sum of the sizes measured at insertion *)
-  budget : int;
+  budget : int;  (** [0] when unbudgeted *)
   hits : int;
   misses : int;
   evictions : int;
@@ -57,7 +65,10 @@ type stats = {
 type t
 
 val create : ?byte_budget:int -> unit -> t
-(** Default budget: 1 GiB. *)
+(** Without [byte_budget] the session is unbounded: entries are never
+    sized ([bytes] stays 0) and never evicted — the right store for a
+    one-shot run that discards it.  The daemon passes its budget
+    explicitly. *)
 
 val find : t -> string -> value option
 (** Counts as a hit/miss and refreshes recency on hit. *)

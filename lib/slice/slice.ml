@@ -155,19 +155,13 @@ let build ?assume nl =
     mission_edges = build_edges nl flops ford mission;
   }
 
-type Analysis.cache += Slice_graph of t
-
-let find a =
-  Analysis.find_cache a (function Slice_graph g -> Some g | _ -> None)
+type Analysis.cache += Slice_graph of t Once.t
 
 let get nl =
-  let a = Analysis.get nl in
-  match find a with
-  | Some g -> g
-  | None ->
-    Analysis.add_cache a (Slice_graph (build nl));
-    (* re-read: if a sibling domain published first, its value wins *)
-    Option.get (find a)
+  Analysis.memo (Analysis.get nl)
+    (function Slice_graph g -> Some g | _ -> None)
+    (fun g -> Slice_graph g)
+    (fun () -> build nl)
 
 (* ------------------------------------------------------------------ *)
 (* Flop-level closures and statistics                                  *)

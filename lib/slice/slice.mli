@@ -34,7 +34,7 @@ open Olfu_netlist
        outside the steady fixpoint).}}
 
     The graph is memoized per netlist through
-    {!Olfu_netlist.Analysis.add_cache}. *)
+    {!Olfu_netlist.Analysis.memo}. *)
 
 type edges = {
   supports : int array array;

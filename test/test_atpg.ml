@@ -470,6 +470,43 @@ let test_tdf_count_jobs_invariant () =
   Alcotest.(check int) "count jobs-invariant" n1 n3;
   Alcotest.(check bool) "something classified" true (n1 > 0)
 
+(* The TDF count read off the classified stuck-at list, and the
+   verdict-by-verdict oracle: [(derived, oracle)]. *)
+let tdf_counts ~jobs ~learn_depth nl =
+  let t = Untestable.analyze ~learn_depth nl in
+  let fl = Flist.full nl in
+  ignore (Untestable.classify ~jobs t fl);
+  (Tdf_classify.count_of_stuck fl, Tdf_classify.count ~jobs t nl)
+
+let test_tdf_derivation_cores () =
+  List.iter
+    (fun (cfg, depths) ->
+      let nl = Olfu_soc.Soc.generate cfg in
+      List.iter
+        (fun learn_depth ->
+          let (n, u), (n', u') = tdf_counts ~jobs:2 ~learn_depth nl in
+          let what =
+            Printf.sprintf "%s learn %d" cfg.Olfu_soc.Soc.name learn_depth
+          in
+          Alcotest.(check int) (what ^ ": universe") u' u;
+          Alcotest.(check int) (what ^ ": untestable") n' n;
+          Alcotest.(check bool) (what ^ ": non-trivial") true (n > 0))
+        depths)
+    [ (Olfu_soc.Soc.tcore16, [ 0; 1; 2 ]); (Olfu_soc.Soc.tcore32, [ 0; 2 ]) ]
+
+let prop_tdf_derivation =
+  QCheck2.Test.make ~count:30 ~name:"TDF count from stuck-at statuses = oracle"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 3))
+    (fun (seed, learn_depth) ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        if seed mod 2 = 0 then
+          Test_support.random_seq_netlist rng ~inputs:3 ~gates:14 ~flops:4
+        else Test_support.random_comb_netlist rng ~inputs:4 ~gates:16
+      in
+      let derived, oracle = tdf_counts ~jobs:1 ~learn_depth nl in
+      derived = oracle)
+
 let test_scoap_branch_and_hardest () =
   let nl = Test_support.full_adder () in
   let s = Scoap.run nl in
@@ -665,6 +702,9 @@ let () =
           Alcotest.test_case "half-tied pin" `Quick test_tdf_half_tied_pin;
           Alcotest.test_case "count jobs invariant" `Quick
             test_tdf_count_jobs_invariant;
+          Alcotest.test_case "derived count = oracle on cores" `Slow
+            test_tdf_derivation_cores;
+          qt prop_tdf_derivation;
         ] );
       ( "scoap extras",
         [

@@ -6,15 +6,22 @@ module Pool = Olfu_pool.Pool
 let check_coverage ~jobs ~n ?chunk () =
   Pool.with_pool ~oversubscribe:true ~jobs (fun p ->
       let hits = Array.make (max n 1) 0 in
+      let workers = ref [] in
       let m = Mutex.create () in
+      (* Alcotest's formatter is not domain-safe: record the worker ids
+         under the lock and check them once the section has joined *)
       Pool.parallel_chunks p ~n ?chunk (fun ~worker ~lo ~hi ->
-          Alcotest.(check bool) "worker id in range" true
-            (worker >= 0 && worker < Pool.jobs p);
           Mutex.lock m;
+          workers := worker :: !workers;
           for i = lo to hi - 1 do
             hits.(i) <- hits.(i) + 1
           done;
           Mutex.unlock m);
+      List.iter
+        (fun worker ->
+          Alcotest.(check bool) "worker id in range" true
+            (worker >= 0 && worker < Pool.jobs p))
+        !workers;
       for i = 0 to n - 1 do
         if hits.(i) <> 1 then
           Alcotest.failf "index %d visited %d times (jobs=%d n=%d)" i

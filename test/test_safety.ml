@@ -189,6 +189,51 @@ let test_classify_tcore16 () =
     (List.assoc Taxonomy.Structural_uc r.Classify.counts > 0);
   Alcotest.(check int) "seu sample" 6 (Array.length r.Classify.seu.Seu.results)
 
+(* [run] is the flow, the window-independent partition and the SEU axis;
+   one partition completed under several windows and limits must equal a
+   fresh run under each, and building it must leave the flow untouched. *)
+let test_partition_plus_seu () =
+  let module A = Olfu_absint.Absint in
+  let module P = Olfu_sbst.Programs in
+  let cfg = Olfu_soc.Soc.tcore16 in
+  let nl = Olfu_soc.Soc.generate cfg in
+  let mission = Olfu.Mission.of_soc cfg nl in
+  let facts =
+    A.activation_facts ~label:"tcore16-suite" cfg
+      (List.map (fun p -> (p.P.pname, A.of_program cfg p)) (P.suite cfg))
+  in
+  let rc = { Olfu.Run_config.default with jobs = 2 } in
+  let flow = Olfu.Flow.run rc nl mission in
+  let statuses fl = Array.init (Flist.size fl) (Flist.status fl) in
+  let before = statuses flow.Olfu.Flow.flist in
+  let part =
+    Classify.partition ~config:{ Classify.default with rc } ~facts flow mission
+  in
+  Alcotest.(check bool) "flow statuses untouched" true
+    (before = statuses flow.Olfu.Flow.flist);
+  List.iter
+    (fun (window, seu_limit) ->
+      let config = { Classify.default with Classify.rc; window; seu_limit } in
+      let a = Classify.run ~config ~facts nl mission in
+      let b = Classify.seu_axis ~config part in
+      let what = Printf.sprintf "window %d limit %d" window seu_limit in
+      let same name ok = Alcotest.(check bool) (what ^ ": " ^ name) true ok in
+      same "classes" (a.Classify.classes = b.Classify.classes);
+      same "counts" (a.Classify.counts = b.Classify.counts);
+      same "software" (a.Classify.software_by = b.Classify.software_by);
+      same "invariant" (a.Classify.invariant_by = b.Classify.invariant_by);
+      same "proved"
+        (Option.map (fun r -> r.Olfu_invar.Invar.proved) a.Classify.invariants
+        = Option.map (fun r -> r.Olfu_invar.Invar.proved) b.Classify.invariants);
+      same "seu" (a.Classify.seu = b.Classify.seu);
+      same "consistency" (a.Classify.consistency = b.Classify.consistency);
+      same "final statuses"
+        (statuses a.Classify.flow.Olfu.Flow.flist
+        = statuses b.Classify.flow.Olfu.Flow.flist))
+    [ (2, 6); (3, 8); (4, 4) ];
+  Alcotest.(check bool) "flow statuses still untouched" true
+    (before = statuses flow.Olfu.Flow.flist)
+
 (* --- qcheck: BMC verdicts vs concrete replay --- *)
 
 (* random feed-forward machines: three inputs, four flops fed by random
@@ -288,5 +333,9 @@ let () =
           Alcotest.test_case "breakdown row" `Quick test_software_breakdown;
         ] );
       ( "classify",
-        [ Alcotest.test_case "tcore16" `Slow test_classify_tcore16 ] );
+        [
+          Alcotest.test_case "tcore16" `Slow test_classify_tcore16;
+          Alcotest.test_case "partition + SEU = run" `Slow
+            test_partition_plus_seu;
+        ] );
     ]

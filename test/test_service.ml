@@ -221,6 +221,96 @@ let test_cache_hit_identity () =
   Alcotest.(check bool) "no eviction under default budget" true
     (st.S.Session.evictions = 0)
 
+(* --- artifact reuse: a miss on a warm session answers what a fresh
+   session answers --- *)
+
+(* Text renderings carry wall-clock lines ("analysis time", "build
+   seconds"); everything else must match byte for byte. *)
+let mask_clock s =
+  let clocked line =
+    List.exists
+      (fun w -> List.mem w [ "time"; "time:"; "seconds" ])
+      (String.split_on_char ' ' line)
+  in
+  String.split_on_char '\n' s
+  |> List.map (fun line ->
+         if clocked line then
+           String.map (fun c -> if c >= '0' && c <= '9' then '#' else c) line
+         else line)
+  |> String.concat "\n"
+
+(* All three renderings of one outcome: the json request decides whether
+   it was a miss, text and summary read the outcome it cached. *)
+let answers session op =
+  let json = exec session (run_req op) in
+  let text = exec session (run_req ~id:2 ~fmt:Req.Text op) in
+  let summary = exec session (run_req ~id:3 ~fmt:Req.Summary op) in
+  (json, List.map (fun r -> mask_clock r.Resp.output) [ json; text; summary ])
+
+let lint_op disabled =
+  Req.Lint
+    {
+      waivers = None;
+      baseline = None;
+      disabled;
+      software = false;
+      invariants = false;
+      fail_on = Req.Fail_on Olfu_lint.Rule.Error;
+    }
+
+let test_warm_miss_identity () =
+  let warm = S.Session.create () in
+  ignore (exec warm (run_req (Req.Analyze { paper = false })));
+  List.iter
+    (fun (what, op) ->
+      let first, got = answers warm op in
+      let _, want = answers (S.Session.create ()) op in
+      Alcotest.(check bool) (what ^ ": a miss") false first.Resp.cache_hit;
+      Alcotest.(check bool) (what ^ ": succeeds") true
+        (first.Resp.status <> Resp.Bad_input);
+      List.iter2
+        (fun fmt (g, w) ->
+          Alcotest.(check string) (what ^ ": " ^ fmt ^ " = fresh session") w g)
+        [ "json"; "text"; "summary" ]
+        (List.combine got want))
+    [
+      ("safety window 3", Req.Safety { window = 3; seu_limit = 8 });
+      ("safety window 2", Req.Safety { window = 2; seu_limit = 12 });
+      ("lint -SCAN-001", lint_op [ "SCAN-001" ]);
+      ("lint -RST-001 -SCAN-002", lint_op [ "RST-001"; "SCAN-002" ]);
+      ( "implic depth 1",
+        Req.Implic { learn_depth = 1; learn_budget = 200_000; invariants = false } );
+      ( "implic depth 3",
+        Req.Implic { learn_depth = 3; learn_budget = 200_000; invariants = false } );
+      ("invar -k 1 after safety", Req.Invar { k = 1; no_prove = false });
+    ]
+
+(* Lint and safety misses racing on one loaded netlist share its lazily
+   built artifacts across domains: no exception, the bytes of a fresh
+   session. *)
+let test_concurrent_artifact_misses () =
+  let shared = S.Session.create () in
+  ignore (exec shared (run_req (Req.Analyze { paper = false })));
+  let ops k =
+    [
+      lint_op [ (if k = 0 then "SCAN-003" else "RST-002") ];
+      Req.Safety { window = 2 + k; seu_limit = 6 };
+    ]
+  in
+  let run k =
+    Domain.spawn (fun () ->
+        let ops = if k = 0 then ops k else List.rev (ops k) in
+        List.map (fun op -> (op, (exec shared (run_req op)).Resp.output)) ops)
+  in
+  let d0 = run 0 and d1 = run 1 in
+  let got = Domain.join d0 @ Domain.join d1 in
+  List.iter
+    (fun (op, out) ->
+      let fresh = exec (S.Session.create ()) (run_req op) in
+      Alcotest.(check string) "concurrent miss = fresh session"
+        fresh.Resp.output out)
+    got
+
 let test_stats_and_ping () =
   let session = S.Session.create () in
   let ping = exec session { Req.id = 9; body = Req.Ping } in
@@ -366,6 +456,8 @@ let () =
           Alcotest.test_case "cache hit identity" `Quick
             test_cache_hit_identity;
           Alcotest.test_case "stats and ping" `Quick test_stats_and_ping;
+          Alcotest.test_case "warm miss = fresh session" `Slow
+            test_warm_miss_identity;
         ] );
       ( "cache",
         [
@@ -377,6 +469,8 @@ let () =
         [
           Alcotest.test_case "jobs-invariant overlapping sessions" `Quick
             test_concurrent_jobs_invariant;
+          Alcotest.test_case "artifact misses on two domains" `Slow
+            test_concurrent_artifact_misses;
         ] );
       ( "daemon",
         [

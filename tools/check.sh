@@ -12,10 +12,10 @@ set -e
 cd "$(dirname "$0")/.."
 
 gate() {
-  _name="$1"; shift
-  _t0=$(date +%s)
+  _gate_name="$1"; shift
+  _gate_t0=$(date +%s)
   "$@"
-  echo "[gate ${_name}: $(( $(date +%s) - _t0 )) s]"
+  echo "[gate ${_gate_name}: $(( $(date +%s) - _gate_t0 )) s]"
 }
 
 # Source lint: cheap grep-level hygiene over lib/ before anything is
@@ -233,3 +233,8 @@ gate serve serve_gate
 # with the cache-hit, 2x-speedup and byte-identity gates enforced by
 # the bench itself; refreshes BENCH_serve.json.
 gate serve-bench dune exec bench/main.exe -- serve
+
+# Benchmark smoke gate: every perfbench workload at minimal length, one-
+# shot and daemon, traced and not; fails on any error or on any JSON
+# answer whose MD5 differs from perfbench/reference.json.
+gate perfbench-smoke bash perfbench/run.sh smoke
