@@ -30,6 +30,8 @@ type entry = { value : value; bytes : int; mutable tick : int }
 
 type t = {
   tbl : (string, entry) Hashtbl.t;
+  building : (string, value Olfu_netlist.Once.t) Hashtbl.t;
+      (* in-flight builds of {!memo}, one per key *)
   budget : int option;
   m : Mutex.t;
   mutable used : int;
@@ -42,6 +44,7 @@ type t = {
 let create ?byte_budget () =
   {
     tbl = Hashtbl.create 64;
+    building = Hashtbl.create 8;
     budget = byte_budget;
     m = Mutex.create ();
     used = 0;
@@ -110,13 +113,46 @@ let add t key value =
       t.used <- t.used + bytes;
       Option.iter (fun budget -> evict_locked t budget ~keep:key) t.budget)
 
+(* One build per key at a time: a miss on a key another request is
+   building waits for that build instead of running its own.  Every
+   consumer then holds one value; two copies of a loaded netlist would
+   each grow their own per-netlist artifacts, and which copy the session
+   kept would depend on which build finished last. *)
 let memo t key build =
-  match find t key with
-  | Some v -> (v, true)
-  | None ->
-    let v = build () in
-    add t key v;
-    (v, false)
+  let module Once = Olfu_netlist.Once in
+  let found =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.tbl key with
+        | Some e ->
+          t.clock <- t.clock + 1;
+          e.tick <- t.clock;
+          t.hits <- t.hits + 1;
+          `Hit e.value
+        | None -> (
+          t.misses <- t.misses + 1;
+          match Hashtbl.find_opt t.building key with
+          | Some c -> `Join c
+          | None ->
+            let c =
+              Once.make (fun () ->
+                  let v = build () in
+                  add t key v;
+                  v)
+            in
+            Hashtbl.replace t.building key c;
+            `Build c))
+  in
+  match found with
+  | `Hit v -> (v, true)
+  | `Join c -> (Once.force c, false)
+  | `Build c ->
+    Fun.protect
+      ~finally:(fun () ->
+        locked t (fun () ->
+            match Hashtbl.find_opt t.building key with
+            | Some c' when c' == c -> Hashtbl.remove t.building key
+            | _ -> ()))
+      (fun () -> (Once.force c, false))
 
 let stats t =
   locked t (fun () ->

@@ -24,10 +24,9 @@
 
     All operations are thread-safe (one mutex around the table);
     {!memo} runs its build function {e outside} the lock so concurrent
-    requests never serialize behind each other's engines.  Duplicate
-    concurrent builds of the same key are possible and benign — every
-    flow is deterministic, so whichever result publishes first wins and
-    the values are interchangeable. *)
+    requests never serialize behind each other's engines.  Concurrent
+    misses on one key share a single build, so every consumer of a key
+    holds the same physical value. *)
 
 type outcome = {
   json : string;
@@ -80,7 +79,10 @@ val add : t -> string -> value -> unit
 
 val memo : t -> string -> (unit -> value) -> value * bool
 (** [memo t key build] is [find]-or-[build]-and-[add]; the boolean is
-    [true] on a cache hit.  [build] runs outside the session lock. *)
+    [true] on a cache hit.  [build] runs outside the session lock, at
+    most once per key at a time: a miss on a key another request is
+    building waits for that build and shares its value (still a miss).
+    [build] must not ask for its own key. *)
 
 val stats : t -> stats
 val stats_json : stats -> Olfu_obs.Json.t

@@ -356,6 +356,29 @@ let test_direct_lru_order () =
   Alcotest.(check bool) "a evicted" true (S.Session.find session "a" = None);
   Alcotest.(check bool) "b resident" true (S.Session.find session "b" <> None)
 
+(* Two domains missing on one key share one build: the second waits for
+   the first instead of building a copy of its own. *)
+let test_memo_single_build () =
+  let session = S.Session.create () in
+  let builds = Atomic.make 0 in
+  let started = Atomic.make false in
+  let build () =
+    Atomic.incr builds;
+    Atomic.set started true;
+    Unix.sleepf 0.2;
+    S.Session.Outcome
+      { json = "v"; text = "v"; summary = "v"; status = Resp.Success; aux = [] }
+  in
+  let first = Domain.spawn (fun () -> S.Session.memo session "k" build) in
+  while not (Atomic.get started) do Domain.cpu_relax () done;
+  let v2, hit2 = S.Session.memo session "k" build in
+  let v1, hit1 = Domain.join first in
+  Alcotest.(check int) "one build" 1 (Atomic.get builds);
+  Alcotest.(check bool) "same value" true (v1 == v2);
+  Alcotest.(check bool) "both misses" false (hit1 || hit2);
+  let _, hit3 = S.Session.memo session "k" build in
+  Alcotest.(check bool) "then a hit" true hit3
+
 (* --- concurrent sessions: jobs-invariance across domain pools --- *)
 
 let test_concurrent_jobs_invariant () =
@@ -464,6 +487,7 @@ let () =
           Alcotest.test_case "lru eviction under budget" `Quick
             test_lru_eviction;
           Alcotest.test_case "lru order" `Quick test_direct_lru_order;
+          Alcotest.test_case "one build per key" `Quick test_memo_single_build;
         ] );
       ( "concurrency",
         [
