@@ -1737,10 +1737,12 @@ let slice_bench () =
   if
     not
       (severing_ok && seu_identical && invar_identical && !oracle_identical
-     && !oracle_checked > 0)
+     && !oracle_checked > 0
+      && full32.Seu.total_ffs > 0)
   then begin
     prerr_endline
-      "slice: gate violated (severing/seu/invar/oracle identity)";
+      "slice: gate violated (severing/seu/invar/oracle identity or missing \
+       full tcore32 sweep)";
     exit 1
   end
 

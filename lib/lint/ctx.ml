@@ -266,7 +266,12 @@ let create ?(thresholds = default_thresholds) ?software ?invariants nl =
     si_cycles = Once.make (fun () -> compute_si_cycles nl);
     slice =
       Once.make (fun () ->
-          Olfu_slice.Slice.build ~assume:(combined_assume nl software) nl);
+          (* without software facts the assumptions are the default
+             debug-control hold, so the per-netlist graph serves *)
+          match software with
+          | None -> Olfu_slice.Slice.get nl
+          | Some _ ->
+            Olfu_slice.Slice.build ~assume:(combined_assume nl software) nl);
   }
 
 let nl t = t.nl

@@ -144,7 +144,9 @@ val chain_cells : t -> (int, unit) Hashtbl.t
 val slice : t -> Olfu_slice.Slice.t
 (** Constant-severed flop dependency graph, with the mission edges
     strengthened by {!assumptions} (so software-held constants sever
-    too).  Feeds the SLICE-* rules. *)
+    too).  Without software facts this is {!Olfu_slice.Slice.get}, the
+    graph every consumer of the netlist shares.  Feeds the SLICE-*
+    rules. *)
 
 val si_cycles : t -> int list list
 (** Shift-path cycles: each is the full cycle path in shift order (scan

@@ -51,69 +51,95 @@ let iter_live_fanins cval nl d f =
 
 let sorted_uniq l = Array.of_list (List.sort_uniq Int.compare l)
 
-let build_edges nl flops ford consts =
+(* Fixed-universe bitsets, 63 members per word.  A set is never mutated
+   once another node may share it. *)
+module Bits = struct
+  let w = 63
+  let words n = (n + w - 1) / w
+  let add s i = s.(i / w) <- s.(i / w) lor (1 lsl (i mod w))
+  let mem s i = s.(i / w) land (1 lsl (i mod w)) <> 0
+
+  let union_into dst src =
+    for k = 0 to Array.length dst - 1 do
+      dst.(k) <- dst.(k) lor src.(k)
+    done
+
+  let rec pop x = if x = 0 then 0 else 1 + pop (x land (x - 1))
+  let cardinal s = Array.fold_left (fun acc x -> acc + pop x) 0 s
+
+  (* members in [lo, hi), ascending, mapped through [f] *)
+  let members s ~lo ~hi f =
+    let acc = ref [] in
+    for i = hi - 1 downto lo do
+      if mem s i then acc := f i :: !acc
+    done;
+    Array.of_list !acc
+end
+
+(* One sweep in topological order.  The reach set of a node — the flop
+   ordinals (bits [0, nf)) and primary inputs (bits [nf, nf + ni), in
+   node-id order) its value still depends on — is a function of the node
+   alone: empty when the node is constant, the node itself at a source,
+   otherwise the union over its live fanins.  A flop's supports and
+   input deps, and an output marker's flop deps, are then read off the
+   union over its own live fanins.  Sets are shared whenever a node has
+   a single non-empty contribution. *)
+let build_edges nl flops consts =
   let n = Netlist.length nl in
   let nf = Array.length flops in
+  let inputs = Netlist.inputs nl in
+  let ni = Array.length inputs in
+  let nw = Bits.words (nf + ni) in
   let cval d = consts.(d) in
-  let vis = Array.make n 0 in
-  let gen = ref 0 in
-  (* backward combinational cone of the given seed nodes' live fanins:
-     flop ordinals and non-constant primary inputs it still reads *)
-  let cone_deps seeds =
-    incr gen;
-    let g = !gen in
-    let sup = ref [] and ins = ref [] in
-    let stack = ref [] in
-    let visit e =
-      if vis.(e) <> g then begin
-        vis.(e) <- g;
-        if not (Logic4.is_binary consts.(e)) then
-          let k = Netlist.kind nl e in
-          if Cell.is_seq k then sup := ford.(e) :: !sup
-          else
-            match k with
-            | Cell.Input -> ins := e :: !ins
-            | Cell.Tie0 | Cell.Tie1 | Cell.Tiex -> ()
-            | _ -> stack := e :: !stack
-      end
-    in
-    List.iter visit seeds;
-    let rec drain () =
-      match !stack with
-      | [] -> ()
-      | e :: tl ->
-        stack := tl;
-        iter_live_fanins cval nl e (fun _ d -> visit d);
-        drain ()
-    in
-    drain ();
-    (sorted_uniq !sup, sorted_uniq !ins)
+  let empty = Array.make nw 0 in
+  let reach = Array.make n empty in
+  let singleton b =
+    let s = Array.make nw 0 in
+    Bits.add s b;
+    s
   in
-  let live_seeds d =
-    let acc = ref [] in
-    iter_live_fanins cval nl d (fun _ e -> acc := e :: !acc);
+  let live d = not (Logic4.is_binary consts.(d)) in
+  Array.iteri (fun k f -> if live f then reach.(f) <- singleton k) flops;
+  Array.iteri
+    (fun b i -> if live i then reach.(i) <- singleton (nf + b))
+    inputs;
+  let fanin_union d =
+    let acc = ref empty and owned = ref false in
+    iter_live_fanins cval nl d (fun _ e ->
+        let r = reach.(e) in
+        if r != empty && r != !acc then
+          if !acc == empty then acc := r
+          else begin
+            if not !owned then begin
+              acc := Array.copy !acc;
+              owned := true
+            end;
+            Bits.union_into !acc r
+          end);
     !acc
   in
+  Array.iter
+    (fun d -> if live d then reach.(d) <- fanin_union d)
+    (Netlist.topo nl);
   let supports = Array.make nf [||] in
   let in_deps = Array.make nf [||] in
   Array.iteri
     (fun k f ->
-      let sup, ins = cone_deps (live_seeds f) in
-      supports.(k) <- sup;
-      in_deps.(k) <- ins)
+      let u = fanin_union f in
+      supports.(k) <- Bits.members u ~lo:0 ~hi:nf Fun.id;
+      in_deps.(k) <-
+        Bits.members u ~lo:nf ~hi:(nf + ni) (fun b -> inputs.(b - nf)))
     flops;
   let out_deps =
     Array.map
-      (fun o ->
-        let sup, _ = cone_deps (live_seeds o) in
-        (o, sup))
+      (fun o -> (o, Bits.members (fanin_union o) ~lo:0 ~hi:nf Fun.id))
       (Netlist.outputs nl)
   in
   let cons = Array.make nf [] in
-  Array.iteri
-    (fun k sup -> Array.iter (fun s -> cons.(s) <- k :: cons.(s)) sup)
-    supports;
-  let consumers = Array.map sorted_uniq cons in
+  for k = nf - 1 downto 0 do
+    Array.iter (fun s -> cons.(s) <- k :: cons.(s)) supports.(k)
+  done;
+  let consumers = Array.map Array.of_list cons in
   { supports; consumers; in_deps; out_deps }
 
 (* ------------------------------------------------------------------ *)
@@ -150,9 +176,9 @@ let build ?assume nl =
     mission;
     flops;
     ford;
-    structural = build_edges nl flops ford xs;
-    hard_edges = build_edges nl flops ford hard;
-    mission_edges = build_edges nl flops ford mission;
+    structural = build_edges nl flops xs;
+    hard_edges = build_edges nl flops hard;
+    mission_edges = build_edges nl flops mission;
   }
 
 type Analysis.cache += Slice_graph of t Once.t
@@ -180,13 +206,6 @@ let closure adj seeds =
 
 let backward_flops e seeds = closure e.supports seeds
 let forward_flops e seeds = closure e.consumers seeds
-
-let backward_sizes g e =
-  Array.mapi
-    (fun k _ ->
-      let m = backward_flops e [ k ] in
-      Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 m)
-    g.flops
 
 type dist = {
   count : int;
@@ -266,6 +285,37 @@ let scc e n =
     if index.(v) < 0 then strong v
   done;
   { comp_of; comps = Array.of_list (List.rev !comps) }
+
+(* One reach bitset per condensation component, in component order:
+   Tarjan emits callees first, so every component a member supports is
+   already complete when its own set is formed. *)
+let backward_sizes g e =
+  let n = Array.length g.flops in
+  let c = scc e n in
+  let nc = Array.length c.comps in
+  let nw = Bits.words n in
+  let reach = Array.make nc [||] in
+  let size = Array.make nc 0 in
+  let seen = Array.make nc (-1) in
+  Array.iteri
+    (fun ci members ->
+      let s = Array.make nw 0 in
+      Array.iter
+        (fun v ->
+          Bits.add s v;
+          Array.iter
+            (fun u ->
+              let cu = c.comp_of.(u) in
+              if cu <> ci && seen.(cu) <> ci then begin
+                seen.(cu) <- ci;
+                Bits.union_into s reach.(cu)
+              end)
+            e.supports.(v))
+        members;
+      reach.(ci) <- s;
+      size.(ci) <- Bits.cardinal s)
+    c.comps;
+  Array.map (fun ci -> size.(ci)) c.comp_of
 
 let flop_name g k =
   match Netlist.name g.nl g.flops.(k) with

@@ -599,6 +599,114 @@ let test_sw_assume_feeds_const_001 () =
     (Logic4.equal (Olfu_atpg.Ternary.const_of mt ff) Logic4.L0)
 
 (* ---------------------------------------------------------------- *)
+(* SLICE rules against their per-flop definitions                   *)
+(* ---------------------------------------------------------------- *)
+
+let test_ctx_shares_slice () =
+  let nl = clean_netlist () in
+  Alcotest.(check bool) "lint reuses the per-netlist graph" true
+    (Ctx.slice (Ctx.create nl) == Olfu_slice.Slice.get nl);
+  Alcotest.(check bool) "software facts keep a private graph" false
+    (Ctx.slice (Ctx.create ~software:sw_facts nl) == Olfu_slice.Slice.get nl)
+
+(* scan and debug roles sprinkled over a random machine's ports *)
+let with_random_roles rng nl =
+  let b = B.of_netlist nl in
+  Array.iter
+    (fun i ->
+      if not (Netlist.has_role nl i Netlist.Reset) then
+        match Random.State.int rng 5 with
+        | 0 -> B.add_role b i Netlist.Scan_in
+        | 1 -> B.add_role b i Netlist.Scan_enable
+        | 2 -> B.add_role b i Netlist.Debug_control
+        | _ -> ())
+    (Netlist.inputs nl);
+  Array.iter
+    (fun o ->
+      match Random.State.int rng 4 with
+      | 0 -> B.add_role b o Netlist.Scan_out
+      | 1 -> B.add_role b o Netlist.Debug_observe
+      | _ -> ())
+    (Netlist.outputs nl);
+  B.freeze_exn b
+
+let rule_path ctx code =
+  match Lint.find_rule code with
+  | None -> Alcotest.failf "%s not registered" code
+  | Some r -> (
+      match r.Rule.run ctx with [] -> [] | f :: _ -> f.Rule.r_path)
+
+(* The rule docs, read literally, one flop at a time over the
+   mission-severed edges: SLICE-001 flags a non-constant flop whose
+   backward cone holds no flop reading a functional input; SLICE-002 a
+   non-constant flop whose forward cone feeds no functional output. *)
+let ref_slice_paths ctx =
+  let module Sl = Olfu_slice.Slice in
+  let nl = Ctx.nl ctx in
+  let g = Ctx.slice ctx in
+  let e = g.Sl.mission_edges in
+  let nf = Array.length g.Sl.flops in
+  let closure adj o =
+    let mark = Array.make nf false in
+    let rec go v =
+      if not mark.(v) then begin
+        mark.(v) <- true;
+        Array.iter go adj.(v)
+      end
+    in
+    go o;
+    mark
+  in
+  let functional_input i =
+    not
+      (List.exists (Netlist.has_role nl i)
+         Netlist.[ Clock; Reset; Scan_enable; Scan_in; Debug_control ])
+  in
+  let functional_output o =
+    not
+      (List.exists (Netlist.has_role nl o)
+         Netlist.[ Scan_out; Debug_observe ])
+  in
+  let flagged p =
+    Array.to_list g.Sl.flops
+    |> List.filteri (fun o f ->
+           (not (Logic4.is_binary g.Sl.mission.(f))) && p o)
+  in
+  let unreachable o =
+    let back = closure e.Sl.supports o in
+    not
+      (List.exists
+         (fun o' ->
+           back.(o') && Array.exists functional_input e.Sl.in_deps.(o'))
+         (List.init nf Fun.id))
+  in
+  let unobserved o =
+    let fwd = closure e.Sl.consumers o in
+    not
+      (Array.exists
+         (fun (m, ffs) ->
+           functional_output m && Array.exists (fun o' -> fwd.(o')) ffs)
+         e.Sl.out_deps)
+  in
+  (flagged unreachable, flagged unobserved)
+
+let prop_slice_rules_oracle =
+  QCheck2.Test.make ~count:200 ~name:"SLICE-001/002 = per-flop definitions"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist rng
+          ~inputs:(2 + Random.State.int rng 4)
+          ~gates:(5 + Random.State.int rng 30)
+          ~flops:(1 + Random.State.int rng 6)
+        |> with_random_roles rng
+      in
+      let ctx = Ctx.create nl in
+      let r001, r002 = ref_slice_paths ctx in
+      rule_path ctx "SLICE-001" = r001 && rule_path ctx "SLICE-002" = r002)
+
+(* ---------------------------------------------------------------- *)
 (* Registry invariants                                              *)
 (* ---------------------------------------------------------------- *)
 
@@ -990,6 +1098,9 @@ let () =
           Alcotest.test_case "SEU-001" `Quick test_seu_001;
           Alcotest.test_case "SLICE-001" `Quick test_slice_001;
           Alcotest.test_case "SLICE-002" `Quick test_slice_002;
+          Alcotest.test_case "lint shares the slice graph" `Quick
+            test_ctx_shares_slice;
+          qt prop_slice_rules_oracle;
           Alcotest.test_case "SW rules" `Quick test_sw_rules;
           Alcotest.test_case "SW assume into CONST-001" `Quick
             test_sw_assume_feeds_const_001;

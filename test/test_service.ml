@@ -126,6 +126,70 @@ let qcheck_tests =
           | _ -> QCheck.assume_fail ());
     ]
 
+(* --- fuzzed decoding: arbitrary or mutated bytes never raise --- *)
+
+let decodes_cleanly s =
+  match Req.of_string s with
+  | Ok _ | Error _ -> true
+  | exception e ->
+    QCheck.Test.fail_reportf "of_string raised %s on %S"
+      (Printexc.to_string e) s
+
+(* JSON punctuation and keyword fragments, so noise reaches past the
+   first byte of the parser more often than uniform bytes do *)
+let gen_json_noise =
+  QCheck.Gen.(
+    string_size (int_bound 48)
+      ~gen:
+        (oneofl
+           [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; 'u'; '0'; '1'; 'e';
+             '-'; '+'; '.'; 'n'; 't'; 'f'; 'o'; 'p'; ' '; '\n'; '\000';
+             '\255' ]))
+
+let unknown_values =
+  [ "null"; "[1,{\"a\":[]}]"; "\"\\u00e9\""; "1e999"; "-0"; "{\"op\":7}";
+    "\"\\ud800\"" ]
+
+(* a valid request line under one of: truncation, a byte overwrite, a
+   spliced-in copy of a substring, every key duplicated, or an unknown
+   key in front *)
+let gen_mutated_line =
+  let open QCheck.Gen in
+  let* line = map Req.to_line gen_request in
+  let n = String.length line in
+  let* pos = int_bound n in
+  let* len = int_bound 16 in
+  let* c = char in
+  let* v = oneofl unknown_values in
+  let body = String.sub line 1 (n - 2) in
+  oneofl
+    [
+      String.sub line 0 pos;
+      String.mapi (fun i x -> if i = pos then c else x) line;
+      String.sub line 0 pos
+      ^ String.sub line pos (min len (n - pos))
+      ^ String.sub line pos (n - pos);
+      "{" ^ body ^ "," ^ body ^ "}";
+      "{\"zz_unknown\":" ^ v ^ "," ^ body ^ "}";
+    ]
+
+let fuzz_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~count:1000 ~name:"arbitrary bytes never raise"
+        (QCheck.make ~print:String.escaped
+           QCheck.Gen.(string_size (int_bound 64)))
+        decodes_cleanly;
+      QCheck.Test.make ~count:1000 ~name:"json noise never raises"
+        (QCheck.make ~print:String.escaped gen_json_noise)
+        decodes_cleanly;
+      QCheck.Test.make ~count:1000 ~name:"mutated lines never raise"
+        (QCheck.make ~print:String.escaped gen_mutated_line)
+        decodes_cleanly;
+      QCheck.Test.make ~count:500 ~name:"of_string (to_line r) = Ok r"
+        arb_request (fun req -> Req.of_string (Req.to_line req) = Ok req);
+    ]
+
 (* --- malformed input: always Error, never an exception --- *)
 
 let malformed_lines =
@@ -466,6 +530,7 @@ let () =
   Alcotest.run "service"
     [
       ("wire", qcheck_tests);
+      ("fuzz", fuzz_tests);
       ( "decode",
         [
           Alcotest.test_case "malformed lines rejected" `Quick

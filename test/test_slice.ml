@@ -263,6 +263,138 @@ let prop_seu_sliced_equiv =
           && a.Olfu_safety.Seu.structural = b.Olfu_safety.Seu.structural)
         full.Olfu_safety.Seu.results sliced.Olfu_safety.Seu.results)
 
+(* --- one-sweep kernels against their per-flop definitions --- *)
+
+(* The reference is the definition itself: one backward DFS from each
+   flop's (and each output marker's) live fanins, stopping at constant
+   nets, flops, primary inputs and ties; a decided mux select or scan
+   enable makes the un-selected pin unreadable. *)
+let ref_dead_pin consts nl d =
+  let fi = Netlist.fanin nl d in
+  match Netlist.kind nl d with
+  | Cell.Mux2 -> (
+      match consts.(fi.(0)) with Logic4.L0 -> 2 | Logic4.L1 -> 1 | _ -> -1)
+  | Cell.Sdff | Cell.Sdffr -> (
+      match consts.(fi.(2)) with Logic4.L0 -> 1 | Logic4.L1 -> 0 | _ -> -1)
+  | _ -> -1
+
+let ref_live_fanins consts nl d =
+  let dead = ref_dead_pin consts nl d in
+  Array.to_list (Netlist.fanin nl d) |> List.filteri (fun p _ -> p <> dead)
+
+let ref_cone nl ford consts seeds =
+  let seen = Array.make (Netlist.length nl) false in
+  let sup = ref [] and ins = ref [] in
+  let rec visit e =
+    if not seen.(e) then begin
+      seen.(e) <- true;
+      if not (Logic4.is_binary consts.(e)) then
+        match Netlist.kind nl e with
+        | k when Cell.is_seq k -> sup := ford.(e) :: !sup
+        | Cell.Input -> ins := e :: !ins
+        | Cell.Tie0 | Cell.Tie1 | Cell.Tiex -> ()
+        | _ -> List.iter visit (ref_live_fanins consts nl e)
+    end
+  in
+  List.iter visit seeds;
+  let norm l = Array.of_list (List.sort_uniq compare l) in
+  (norm !sup, norm !ins)
+
+let ref_edges (g : Slice.t) consts =
+  let nl = g.Slice.nl in
+  let cone d = ref_cone nl g.Slice.ford consts (ref_live_fanins consts nl d) in
+  let per_flop = Array.map cone g.Slice.flops in
+  let supports = Array.map fst per_flop in
+  let nf = Array.length supports in
+  {
+    Slice.supports;
+    consumers =
+      (let cons = Array.make nf [] in
+       Array.iteri
+         (fun k sup -> Array.iter (fun s -> cons.(s) <- k :: cons.(s)) sup)
+         supports;
+       Array.map (fun l -> Array.of_list (List.sort compare l)) cons);
+    in_deps = Array.map snd per_flop;
+    out_deps = Array.map (fun o -> (o, fst (cone o))) (Netlist.outputs nl);
+  }
+
+(* per-flop backward closure over [supports], counted *)
+let ref_backward_sizes (e : Slice.edges) =
+  Array.mapi
+    (fun k _ ->
+      let mark = Array.make (Array.length e.Slice.supports) false in
+      let rec go v =
+        if not mark.(v) then begin
+          mark.(v) <- true;
+          Array.iter go e.Slice.supports.(v)
+        end
+      in
+      go k;
+      Array.fold_left (fun a b -> if b then a + 1 else a) 0 mark)
+    e.Slice.supports
+
+(* first disagreement between the graph and the references, if any *)
+let edges_mismatch (g : Slice.t) =
+  let xs = Array.make (Netlist.length g.Slice.nl) Logic4.X in
+  List.find_map
+    (fun (label, e, consts) ->
+      let r = ref_edges g consts in
+      let field name a b = if a = b then None else Some (label ^ " " ^ name) in
+      List.find_map Fun.id
+        [
+          field "supports" e.Slice.supports r.Slice.supports;
+          field "consumers" e.Slice.consumers r.Slice.consumers;
+          field "in_deps" e.Slice.in_deps r.Slice.in_deps;
+          field "out_deps" e.Slice.out_deps r.Slice.out_deps;
+          field "backward_sizes"
+            (Slice.backward_sizes g e)
+            (ref_backward_sizes r);
+        ])
+    [
+      ("structural", g.Slice.structural, xs);
+      ("hard", g.Slice.hard_edges, g.Slice.hard);
+      ("mission", g.Slice.mission_edges, g.Slice.mission);
+    ]
+
+(* random mission constants on the non-reset inputs *)
+let random_assume rng nl =
+  Array.to_list (Netlist.inputs nl)
+  |> List.filter_map (fun i ->
+         if Netlist.has_role nl i Netlist.Reset then None
+         else
+           match Random.State.int rng 3 with
+           | 0 -> Some (i, Logic4.L0)
+           | 1 -> Some (i, Logic4.L1)
+           | _ -> None)
+
+let prop_edges_oracle =
+  QCheck2.Test.make ~count:200 ~name:"one-sweep edges and sizes = per-flop"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nl =
+        Test_support.random_seq_netlist rng
+          ~inputs:(2 + Random.State.int rng 4)
+          ~gates:(5 + Random.State.int rng 40)
+          ~flops:(1 + Random.State.int rng 8)
+      in
+      let g = Slice.build ~assume:(random_assume rng nl) nl in
+      match edges_mismatch g with
+      | None -> true
+      | Some what -> QCheck2.Test.fail_reportf "seed %d: %s" seed what)
+
+(* a generated core as the BMC machine (scan enable tied: Sdff
+   severing; debug muxes severed in mission), and optionally raw, as
+   lint sees it *)
+let check_core_edges ?(raw = false) cfg () =
+  let nl = Olfu_soc.Soc.generate cfg in
+  List.iter
+    (fun nl ->
+      Alcotest.(check (option string))
+        "edges and sizes match the per-flop reference" None
+        (edges_mismatch (Slice.build nl)))
+    (Olfu_safety.Classify.bmc_machine nl :: (if raw then [ nl ] else []))
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -272,6 +404,16 @@ let () =
         [
           Alcotest.test_case "scan cell" `Quick test_scan_severing;
           Alcotest.test_case "debug mux" `Quick test_mux_severing;
+        ] );
+      ( "kernels",
+        [
+          qt prop_edges_oracle;
+          Alcotest.test_case "tcore16" `Quick
+            (check_core_edges ~raw:true Olfu_soc.Soc.tcore16);
+          Alcotest.test_case "tcore32" `Slow
+            (check_core_edges Olfu_soc.Soc.tcore32);
+          Alcotest.test_case "tcore32_dft" `Slow
+            (check_core_edges Olfu_soc.Soc.tcore32_dft);
         ] );
       ( "machine",
         [

@@ -136,27 +136,9 @@ gate invar dune exec bench/main.exe -- invar
 # every BMC-backed verdict bit-identical to the full machine on tcore16
 # (SEU classes, invariant proved set, sampled BMC oracle), shrink the
 # mean slice against the structural cone, and carry a full
-# --seu-limit 0 sweep of tcore32; refreshes BENCH_slice.json.
+# --seu-limit 0 sweep of tcore32 (the bench itself exits non-zero on
+# any of these); refreshes BENCH_slice.json.
 gate slice dune exec bench/main.exe -- slice
-slice_identity() {
-  awk '
-    /"severing_ok":/  { ok1 = /true/ }
-    /"seu_identical":/ { ok2 = /true/ }
-    /"invar_identical":/ { ok3 = /true/ }
-    /"oracle_identical":/ { ok4 = /true/ }
-    /"full32_flops":/ && match($0, /[0-9]+/) { flops = substr($0, RSTART, RLENGTH) + 0 }
-    END {
-      if (!(ok1 && ok2 && ok3 && ok4)) {
-        print "slice: identity flags not all true in BENCH_slice.json"
-        exit 1
-      }
-      if (flops <= 0) {
-        print "slice: full tcore32 sweep missing from BENCH_slice.json"
-        exit 1
-      }
-    }' BENCH_slice.json
-}
-gate slice-identity slice_identity
 
 # Daemon gate: start `olfu serve` in the background, require a warm
 # repeat of the same analyze request to come back as a cache hit in
