@@ -284,13 +284,14 @@ let bench_coverage_unit =
 
 let print_tdf () =
   section "Extension — transition-delay faults (paper: future work)";
-  let r = Olfu.Tdf_flow.run rc (Lazy.force t32) (Lazy.force mission32) in
-  Format.printf "%a@." Olfu.Tdf_flow.pp r
+  let r = Olfu.Flow.run rc (Lazy.force t32) (Lazy.force mission32) in
+  Format.printf "%a@." Olfu.Tdf_flow.pp (Olfu.Tdf_flow.of_flow r)
 
 let bench_tdf =
   Test.make ~name:"ext/tdf_flow_tcore16"
     (Staged.stage (fun () ->
-         Olfu.Tdf_flow.run rc (Lazy.force t16) (Lazy.force mission16)))
+         Olfu.Tdf_flow.of_flow
+           (Olfu.Flow.run rc (Lazy.force t16) (Lazy.force mission16))))
 
 let print_full_dft () =
   section "Extension — full DfT population (BIST + boundary scan, Sec. 3)";

@@ -155,7 +155,7 @@ let tdf cfg file ff_mode jobs trace manifest =
     { Olfu.Run_config.default with ff_mode; jobs = jobs_of jobs; trace = sink }
   in
   let t0 = Unix.gettimeofday () in
-  let r = Olfu.Tdf_flow.run rc nl mission in
+  let r = Olfu.Tdf_flow.of_flow (Olfu.Flow.run rc nl mission) in
   let wall = Unix.gettimeofday () -. t0 in
   Format.printf "%a@." Olfu.Tdf_flow.pp r;
   C.write_obs ~trace ~manifest
@@ -167,8 +167,8 @@ let tdf_cmd =
   Cmd.v
     (Cmd.info "tdf"
        ~doc:
-         "Replay the identification flow for transition-delay faults (the \
-          paper's announced fault-model extension).")
+         "Run the identification flow and read off its transition-delay \
+          faults (the paper's announced fault-model extension).")
     Term.(
       ret
         (const tdf $ config_arg $ file_arg $ ff_mode_arg $ jobs_arg
@@ -298,8 +298,8 @@ let report cfg out jobs =
     r.Olfu.Flow.flist;
   let cats = Olfu.Categories.compute nl mission in
   pf "## Fig. 1 categories@.@.```@.%a@.```@.@." Olfu.Categories.pp cats;
-  let tdf = Olfu.Tdf_flow.run rc nl mission in
-  pf "## Transition-delay extension@.@.```@.%a@.```@.@." Olfu.Tdf_flow.pp tdf;
+  pf "## Transition-delay extension@.@.```@.%a@.```@.@." Olfu.Tdf_flow.pp
+    (Olfu.Tdf_flow.of_flow r);
   let lint = Olfu_lint.Lint.run nl in
   pf "## Static analysis@.@.```@.%a@.```@.@." Olfu_lint.Render.summary lint;
   let text = Buffer.contents buf in

@@ -26,32 +26,35 @@ let undet_classes =
     Status.Redundant; Status.Software; Status.Invariant;
   |]
 
-let undet_tally fl =
+let class_index = function
+  | Status.Unused -> 0
+  | Status.Tied -> 1
+  | Status.Blocked -> 2
+  | Status.Conflict -> 3
+  | Status.Redundant -> 4
+  | Status.Software -> 5
+  | Status.Invariant -> 6
+
+let unstamped = '\255'
+
+(* One sweep after step [k]: stamp every undetectable fault no earlier
+   step stamped and tally it by verdict class.  The flow only ever moves
+   a status from Not_analyzed to Undetectable, so these are exactly the
+   step's newly classified faults. *)
+let stamp_step fl stamps k =
   let a = Array.make (Array.length undet_classes) 0 in
   Flist.iteri
-    (fun _ _ st ->
+    (fun i _ st ->
       match st with
-      | Status.Undetectable u ->
-        let k =
-          match u with
-          | Status.Unused -> 0
-          | Status.Tied -> 1
-          | Status.Blocked -> 2
-          | Status.Conflict -> 3
-          | Status.Redundant -> 4
-          | Status.Software -> 5
-          | Status.Invariant -> 6
-        in
-        a.(k) <- a.(k) + 1
+      | Status.Undetectable u when Bytes.get stamps i = unstamped ->
+        Bytes.set stamps i (Char.chr k);
+        let c = class_index u in
+        a.(c) <- a.(c) + 1
       | _ -> ())
     fl;
-  a
-
-let diff_tally before after =
   let acc = ref [] in
-  for k = Array.length undet_classes - 1 downto 0 do
-    let d = after.(k) - before.(k) in
-    if d <> 0 then acc := (undet_classes.(k), d) :: !acc
+  for c = Array.length undet_classes - 1 downto 0 do
+    if a.(c) <> 0 then acc := (undet_classes.(c), a.(c)) :: !acc
   done;
   !acc
 
@@ -64,6 +67,7 @@ type report = {
   total_olfu : int;
   fraction : float;
   flist : Flist.t;
+  stamps : Bytes.t;
   mission_netlist : Netlist.t;
   seconds : float;
 }
@@ -72,8 +76,6 @@ let timed f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
-
-let scan_step nl fl = Scan_trace.prune nl fl
 
 let verify_scan_rule nl =
   match Netlist.find nl "scan_en" with
@@ -126,29 +128,31 @@ let run (cfg : Run_config.t) nl mission =
             let scratch = Flist.full nl in
             (prime, Collapse.dominance_prune scratch)))
   in
-  (* wrap each step so its newly classified faults are attributed to the
-     verdict class (UT/UB/UC/...) that proved them; the tally sweeps run
-     outside the step spans and are accounted as prep *)
-  let tally_s = ref 0. in
-  let stepped name f =
-    let before, bt = timed (fun () -> undet_tally fl) in
-    let r, secs = timed (fun () -> Trace.span trace ~cat:"step" name f) in
-    let v, at = timed (fun () -> diff_tally before (undet_tally fl)) in
-    tally_s := !tally_s +. bt +. at;
-    Trace.record trace ~cat:"engine" ~dur:(bt +. at) "tally";
-    (r, v, secs)
+  (* each step is followed by one stamping sweep that attributes its
+     newly classified faults to the verdict class (UT/UB/UC/...) that
+     proved them; the sweeps run outside the step spans and are
+     accounted as prep *)
+  let stamps = Bytes.make (Flist.size fl) unstamped in
+  let tally_s = ref 0. and next = ref 0 in
+  let stepped source f =
+    let classified, seconds =
+      timed (fun () -> Trace.span trace ~cat:"step" (source_name source) f)
+    in
+    let by_verdict, st = timed (fun () -> stamp_step fl stamps !next) in
+    incr next;
+    tally_s := !tally_s +. st;
+    Trace.record trace ~cat:"engine" ~dur:st "tally";
+    { source; classified; by_verdict; seconds }
   in
   (* 1. scan rule *)
-  let scan_count, scan_v, scan_t =
-    stepped (source_name Scan) (fun () ->
+  let scan =
+    stepped Scan (fun () ->
         Trace.span trace ~cat:"engine" "scan_trace" (fun () ->
-            scan_step nl fl))
+            Scan_trace.prune nl fl))
   in
   (* 1b. baseline: untestable before any manipulation (reset network,
      steady-state constants of the mission circuit itself) *)
-  let base_count, base_v, base_t =
-    stepped (source_name Baseline) (fun () -> engine_step cfg nl fl)
-  in
+  let baseline = stepped Baseline (fun () -> engine_step cfg nl fl) in
   (* 2+3 share the tied netlist; its ternary fixpoint is computed once,
      outside both steps, so neither step's seconds double-count it (it is
      reported as a [prep] entry and its own "ternary" engine span). *)
@@ -163,8 +167,8 @@ let run (cfg : Run_config.t) nl mission =
             Ternary.run ~ff_mode:cfg.Run_config.ff_mode tied_controls))
   in
   (* 2. debug control ties *)
-  let ctl_count, ctl_v, ctl_t =
-    stepped (source_name Debug_control) (fun () ->
+  let control =
+    stepped Debug_control (fun () ->
         engine_step cfg ~consts:tied_consts tied_controls fl)
   in
   (* 3. debug observation: stop observing the debug buses (and scan-outs).
@@ -174,8 +178,8 @@ let run (cfg : Run_config.t) nl mission =
         Trace.span trace ~cat:"engine" "mission" (fun () ->
             Mission.observed_in_field mission tied_controls))
   in
-  let obs_count, obs_v, obs_t =
-    stepped (source_name Debug_observe) (fun () ->
+  let observe =
+    stepped Debug_observe (fun () ->
         engine_step cfg ~observable_output:observable ~consts:tied_consts
           tied_controls fl)
   in
@@ -191,45 +195,12 @@ let run (cfg : Run_config.t) nl mission =
               (Const_regs.tie_address_registers tied_controls ~forced)
               ~forced))
   in
-  let mem_count, mem_v, mem_t =
-    stepped (source_name Memory) (fun () ->
+  let memory =
+    stepped Memory (fun () ->
         engine_step cfg ~observable_output:observable mission_nl fl)
   in
-  let steps =
-    [
-      {
-        source = Scan;
-        classified = scan_count;
-        by_verdict = scan_v;
-        seconds = scan_t;
-      };
-      {
-        source = Baseline;
-        classified = base_count;
-        by_verdict = base_v;
-        seconds = base_t;
-      };
-      {
-        source = Debug_control;
-        classified = ctl_count;
-        by_verdict = ctl_v;
-        seconds = ctl_t;
-      };
-      {
-        source = Debug_observe;
-        classified = obs_count;
-        by_verdict = obs_v;
-        seconds = obs_t;
-      };
-      {
-        source = Memory;
-        classified = mem_count;
-        by_verdict = mem_v;
-        seconds = mem_t;
-      };
-    ]
-  in
-  let total = scan_count + base_count + ctl_count + obs_count + mem_count in
+  let steps = [ scan; baseline; control; observe; memory ] in
+  let total = List.fold_left (fun acc s -> acc + s.classified) 0 steps in
   {
     universe = Flist.size fl;
     collapsed;
@@ -248,6 +219,7 @@ let run (cfg : Run_config.t) nl mission =
     total_olfu = total;
     fraction = float_of_int total /. float_of_int (max 1 (Flist.size fl));
     flist = fl;
+    stamps;
     mission_netlist = mission_nl;
     seconds = Unix.gettimeofday () -. t0;
   }
@@ -307,7 +279,15 @@ let pp_table1 ?(paper = false) ppf r =
     "  (+ %d reset/steady-state faults outside the paper's accounting;      grand total %d = %.1f%%)"
     (step_count r Baseline) r.total_olfu (100. *. r.fraction);
   Format.pp_print_cut ppf ();
-  let tally = undet_tally r.flist in
+  let tally = Array.make (Array.length undet_classes) 0 in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (u, n) ->
+          let k = class_index u in
+          tally.(k) <- tally.(k) + n)
+        s.by_verdict)
+    r.steps;
   Format.fprintf ppf "  by verdict:";
   Array.iteri
     (fun k n ->

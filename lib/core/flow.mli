@@ -52,12 +52,15 @@ type report = {
       (** named work attributed to no step: fault-universe construction,
           the netlist manipulations, the ternary fixpoint of the tied
           netlist (shared by the two Debug steps), the mission
-          observability computation, and the per-step verdict tallies —
+          observability computation, and the per-step stamping sweeps —
           step seconds plus prep seconds account for the flow's wall
           time (the [bench -- obs] gate checks within 5%) *)
   total_olfu : int;
   fraction : float;  (** [total_olfu / universe] *)
   flist : Flist.t;  (** final classification over the original universe *)
+  stamps : Bytes.t;
+      (** one byte per fault of [flist]: the position in [steps] of the
+          step that classified it, ['\255'] if no step did *)
   mission_netlist : Netlist.t;  (** fully manipulated circuit *)
   seconds : float;
 }
@@ -76,8 +79,6 @@ val run : Run_config.t -> Netlist.t -> Mission.t -> report
     (named by {!source_name}) with the engine attribution
     (["graph"] / ["ternary"] / ["observe"] / ["implic"] / ["classify"]
     spans) nested inside. *)
-
-val scan_step : Netlist.t -> Flist.t -> int
 
 val paper_total : report -> int
 (** Sum over the paper's three sources (scan + debug + memory), excluding

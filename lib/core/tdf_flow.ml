@@ -1,7 +1,4 @@
 open Olfu_fault
-open Olfu_atpg
-open Olfu_manip
-module Trace = Olfu_obs.Trace
 
 type report = {
   universe : int;
@@ -15,124 +12,45 @@ type report = {
   seconds : float;
 }
 
-let run (cfg : Run_config.t) nl mission =
-  let { Run_config.ff_mode; jobs; implic; trace } = cfg in
+let of_flow (r : Flow.report) =
   let t0 = Unix.gettimeofday () in
-  let u =
-    Trace.span trace ~cat:"engine" "flist" (fun () -> Tdf.universe nl)
-  in
-  let claimed = Array.make (Array.length u) false in
-  let classify_with t =
-    (* each index is read and written by exactly one worker, and verdicts
-       are pure in (t, fault), so the claims are independent of [jobs] *)
+  let fl = r.Flow.flist in
+  let steps = Array.of_list r.Flow.steps in
+  let stamp i = Char.code (Bytes.get r.Flow.stamps i) in
+  let by_step = Array.make (Array.length steps) 0 and sites = ref 0 in
+  (* one pass over the sa0 faults, i.e. over the transition sites: a
+     site falls at the earlier of its sa0 and sa1 stamps, with both its
+     polarities *)
+  Flist.iteri
+    (fun i (f : Fault.t) _ ->
+      if not f.Fault.stuck then begin
+        incr sites;
+        let k =
+          match Flist.find fl { f with Fault.stuck = true } with
+          | Some j -> min (stamp i) (stamp j)
+          | None -> stamp i
+        in
+        if k < Array.length steps then by_step.(k) <- by_step.(k) + 2
+      end)
+    fl;
+  let count src =
     let n = ref 0 in
-    Trace.span trace ~cat:"engine" "classify" (fun () ->
-        Olfu_pool.Pool.with_pool ~jobs (fun pool ->
-            let nw = Olfu_pool.Pool.jobs pool in
-            let walkers =
-              Array.init nw (fun _ -> Untestable.make_walker t)
-            in
-            let wn = Array.make nw 0 in
-            Olfu_pool.Pool.parallel_chunks pool ~n:(Array.length u)
-              ~chunk:512 ~trace ~label:"tdf_classify"
-              (fun ~worker ~lo ~hi ->
-                let w = walkers.(worker) in
-                for i = lo to hi - 1 do
-                  if
-                    (not claimed.(i))
-                    && Tdf_classify.verdict_with t w u.(i) <> None
-                  then begin
-                    claimed.(i) <- true;
-                    wn.(worker) <- wn.(worker) + 1
-                  end
-                done);
-            Array.iter (fun c -> n := !n + c) wn));
+    Array.iteri
+      (fun k s -> if s.Flow.source = src then n := !n + by_step.(k))
+      steps;
     !n
   in
-  let stepped name f = Trace.span trace ~cat:"step" name f in
-  (* 1. scan rule: every transition fault on a scan-rule site is dead —
-     the SE net never toggles in mission mode, so even the pins whose
-     stuck-at-1 is kept cannot launch a transition *)
-  let scan =
-    stepped "Scan" (fun () ->
-        let scan_sites =
-          Trace.span trace ~cat:"engine" "scan_trace" (fun () ->
-              Scan_trace.untestable_faults nl)
-          |> List.map (fun (f : Fault.t) -> f.Fault.site)
-        in
-        let site_set = Hashtbl.create 999 in
-        List.iter (fun s -> Hashtbl.replace site_set s ()) scan_sites;
-        let scan = ref 0 in
-        Array.iteri
-          (fun i (f : Tdf.t) ->
-            if (not claimed.(i)) && Hashtbl.mem site_set f.Tdf.site then begin
-              claimed.(i) <- true;
-              incr scan
-            end)
-          u;
-        !scan)
-  in
-  (* 2. baseline *)
-  let baseline =
-    stepped "Baseline" (fun () ->
-        classify_with (Untestable.analyze ~ff_mode ~implic ~trace nl))
-  in
-  (* 3+4 analyze the same tied netlist: compute its ternary fixpoint once,
-     outside both steps (its own "ternary" engine span). *)
-  let tied =
-    Trace.span trace ~cat:"engine" "manip" (fun () ->
-        Script.apply nl (Mission.tie_controls_script mission))
-  in
-  let tied_consts =
-    Trace.span trace ~cat:"engine" "ternary" (fun () ->
-        Ternary.run ~ff_mode tied)
-  in
-  (* 3. debug control *)
-  let debug_control =
-    stepped "Debug (control)" (fun () ->
-        classify_with
-          (Untestable.analyze ~ff_mode ~consts:tied_consts ~implic ~trace
-             tied))
-  in
-  (* 4. debug observation *)
-  let observable =
-    Trace.span trace ~cat:"engine" "mission" (fun () ->
-        Mission.observed_in_field mission tied)
-  in
-  let debug_observe =
-    stepped "Debug (observation)" (fun () ->
-        classify_with
-          (Untestable.analyze ~ff_mode ~observable_output:observable
-             ~consts:tied_consts ~implic ~trace tied))
-  in
-  (* 5. memory map *)
-  let forced =
-    Trace.span trace ~cat:"engine" "mission" (fun () ->
-        Mission.address_forcing mission)
-  in
-  let mission_nl =
-    Trace.span trace ~cat:"engine" "manip" (fun () ->
-        Const_regs.tie_address_ports
-          (Const_regs.tie_address_registers tied ~forced)
-          ~forced)
-  in
-  let memory =
-    stepped "Memory" (fun () ->
-        classify_with
-          (Untestable.analyze ~ff_mode ~observable_output:observable ~implic
-             ~trace mission_nl))
-  in
-  let total = scan + baseline + debug_control + debug_observe + memory in
+  let universe = 2 * !sites and total = Array.fold_left ( + ) 0 by_step in
   {
-    universe = Array.length u;
-    scan;
-    baseline;
-    debug_control;
-    debug_observe;
-    memory;
+    universe;
+    scan = count Flow.Scan;
+    baseline = count Flow.Baseline;
+    debug_control = count Flow.Debug_control;
+    debug_observe = count Flow.Debug_observe;
+    memory = count Flow.Memory;
     total;
-    fraction = float_of_int total /. float_of_int (max 1 (Array.length u));
-    seconds = Unix.gettimeofday () -. t0;
+    fraction = float_of_int total /. float_of_int (max 1 universe);
+    seconds = r.Flow.seconds +. (Unix.gettimeofday () -. t0);
   }
 
 let pp ppf r =

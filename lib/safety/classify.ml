@@ -108,87 +108,65 @@ let partition ?(config = default) ~facts (flow : Olfu.Flow.report) mission =
   let size = Flist.size fl in
   let before = Array.init size (Flist.status fl) in
   let observable = Olfu.Mission.observed_in_field mission mnl in
-  (* 2. software-safe: re-analyze the mission machine with the ternary
-     fixpoint strengthened by the software-proven constants, then turn
-     every newly proved verdict into the Software class (the underlying
-     Tied/Blocked/Conflict proof is kept as evidence) *)
-  let assume = Absint.facts_assume facts mnl in
-  let software_safe =
-    if assume = [] then 0
-    else begin
-      let consts =
-        Trace.span trace ~cat:"engine" "ternary" (fun () ->
-            Ternary.run ~ff_mode:rc.Olfu.Run_config.ff_mode ~assume mnl)
-      in
-      let tsw =
-        U.analyze ~observable_output:observable ~consts
-          ~implic:rc.Olfu.Run_config.implic ~trace mnl
-      in
-      Trace.span trace ~cat:"step" "Software safe" (fun () ->
-          U.classify ~jobs:rc.Olfu.Run_config.jobs ~trace tsw fl)
-    end
+  (* one strengthened pass: re-analyze [nl] with the ternary fixpoint
+     strengthened by [assume] (and the implication database by
+     [extra_edges]), classify under the step span [name], then relabel
+     every newly proved verdict as [label] while tallying the underlying
+     Tied/Blocked/Conflict proof it replaces as evidence *)
+  let relabel label name ~assume ?extra_edges nl =
+    let snap = Array.init size (Flist.status fl) in
+    let consts =
+      Trace.span trace ~cat:"engine" "ternary" (fun () ->
+          Ternary.run ~ff_mode:rc.Olfu.Run_config.ff_mode ~assume nl)
+    in
+    let t =
+      U.analyze ~observable_output:observable ~consts
+        ~implic:rc.Olfu.Run_config.implic ?extra_edges ~trace nl
+    in
+    let n =
+      Trace.span trace ~cat:"step" name (fun () ->
+          U.classify ~jobs:rc.Olfu.Run_config.jobs ~trace t fl)
+    in
+    let by = Array.make (Array.length base_classes) 0 in
+    for i = 0 to size - 1 do
+      let now = Flist.status fl i in
+      if not (Status.equal snap.(i) now) then begin
+        Array.iteri
+          (fun k c ->
+            if Status.equal now (Status.Undetectable c) then
+              by.(k) <- by.(k) + 1)
+          base_classes;
+        Flist.set_status fl i (Status.Undetectable label)
+      end
+    done;
+    ( n,
+      Array.to_list (Array.map2 (fun c n -> (c, n)) base_classes by)
+      |> List.filter (fun (_, n) -> n > 0) )
   in
-  let sw_by = Array.make (Array.length base_classes) 0 in
-  for i = 0 to size - 1 do
-    let now = Flist.status fl i in
-    if not (Status.equal before.(i) now) then begin
-      Array.iteri
-        (fun k c ->
-          if Status.equal now (Status.Undetectable c) then
-            sw_by.(k) <- sw_by.(k) + 1)
-        base_classes;
-      Flist.set_status fl i (Status.Undetectable Status.Software)
-    end
-  done;
-  let software_by =
-    Array.to_list
-      (Array.map2 (fun c n -> (c, n)) base_classes sw_by)
-    |> List.filter (fun (_, n) -> n > 0)
+  (* 2. software-safe: the mission machine under the software-proven
+     constants; newly proved verdicts become the Software class *)
+  let assume = Absint.facts_assume facts mnl in
+  let software_safe, software_by =
+    if assume = [] then (0, [])
+    else relabel Status.Software "Software safe" ~assume mnl
   in
   (* 2b. invariant-safe: the on-line machine (scan interface held
-     functional), re-analyzed with induction-proved state invariants —
-     assumed constants strengthen the ternary fixpoint, pairwise facts
-     strengthen the implication database.  Newly proved verdicts become
-     the Invariant class, keeping the underlying evidence tally. *)
+     functional) under induction-proved state invariants — assumed
+     constants strengthen the ternary fixpoint, pairwise facts the
+     implication database; newly proved verdicts become the Invariant
+     class *)
   let machine = bmc_machine mnl in
   let invariants =
     if config.invariants then
       Some (Invar.shared ~jobs:rc.Olfu.Run_config.jobs ~trace machine)
     else None
   in
-  let before_inv = Array.init size (Flist.status fl) in
-  let invariant_safe =
+  let invariant_safe, invariant_by =
     match invariants with
-    | None -> 0
+    | None -> (0, [])
     | Some ir ->
-      let consts =
-        Trace.span trace ~cat:"engine" "ternary" (fun () ->
-            Ternary.run ~ff_mode:rc.Olfu.Run_config.ff_mode
-              ~assume:(Invar.assume_facts ir) machine)
-      in
-      let tin =
-        U.analyze ~observable_output:observable ~consts
-          ~implic:rc.Olfu.Run_config.implic ~extra_edges:(Invar.edges ir)
-          ~trace machine
-      in
-      Trace.span trace ~cat:"step" "Invariant safe" (fun () ->
-          U.classify ~jobs:rc.Olfu.Run_config.jobs ~trace tin fl)
-  in
-  let inv_by = Array.make (Array.length base_classes) 0 in
-  for i = 0 to size - 1 do
-    let now = Flist.status fl i in
-    if not (Status.equal before_inv.(i) now) then begin
-      Array.iteri
-        (fun k c ->
-          if Status.equal now (Status.Undetectable c) then
-            inv_by.(k) <- inv_by.(k) + 1)
-        base_classes;
-      Flist.set_status fl i (Status.Undetectable Status.Invariant)
-    end
-  done;
-  let invariant_by =
-    Array.to_list (Array.map2 (fun c n -> (c, n)) base_classes inv_by)
-    |> List.filter (fun (_, n) -> n > 0)
+      relabel Status.Invariant "Invariant safe"
+        ~assume:(Invar.assume_facts ir) ~extra_edges:(Invar.edges ir) machine
   in
   (* 3. the partition *)
   let classes =

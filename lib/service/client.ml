@@ -1,4 +1,4 @@
-type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+type t = { ic : in_channel; oc : out_channel }
 
 let connect ?(wait_seconds = 0.) path =
   let deadline = Unix.gettimeofday () +. wait_seconds in
@@ -7,11 +7,7 @@ let connect ?(wait_seconds = 0.) path =
     match Unix.connect fd (Unix.ADDR_UNIX path) with
     | () ->
       Ok
-        {
-          fd;
-          ic = Unix.in_channel_of_descr fd;
-          oc = Unix.out_channel_of_descr fd;
-        }
+        { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
     | exception Unix.Unix_error ((ENOENT | ECONNREFUSED) as e, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       if Unix.gettimeofday () < deadline then begin
@@ -30,9 +26,9 @@ let connect ?(wait_seconds = 0.) path =
   in
   attempt ()
 
-let close t =
-  (try close_out t.oc with Sys_error _ -> ());
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+(* ic and oc share the descriptor: close it exactly once, or the second
+   close may hit the same number reused by another connection *)
+let close t = close_out_noerr t.oc
 
 let rpc_line t line =
   match

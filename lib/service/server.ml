@@ -93,10 +93,10 @@ let handle_conn st fd =
         if continue && not (Atomic.get st.stop) then loop ()
   in
   loop ();
-  (* ic and oc share the descriptor; close_out flushes and closes it,
-     the second close's EBADF is expected *)
-  (try close_out oc with Sys_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  (* ic and oc share the descriptor: close it exactly once.  A second
+     close could hit the same number reused by a sibling worker's
+     accept in between, and shut that live connection. *)
+  close_out_noerr oc
 
 let accept_loop st =
   let exception Done in

@@ -46,7 +46,7 @@ let test_flow_idempotent_attribution () =
   (* no fault is counted twice: re-running a step classifies nothing new *)
   let nl = Lazy.force t16 in
   let r = Lazy.force report16 in
-  let again = Flow.scan_step nl r.Flow.flist in
+  let again = Olfu_manip.Scan_trace.prune nl r.Flow.flist in
   Alcotest.(check int) "scan step idempotent" 0 again
 
 let test_soundness_sample_podem () =
@@ -174,10 +174,8 @@ let test_flow_cut_mode_smaller () =
     (cut.Flow.total_olfu <= steady.Flow.total_olfu)
 
 let test_tdf_flow () =
-  let nl = Lazy.force t16 in
-  let mission = Lazy.force mission16 in
-  let r = Olfu.Tdf_flow.run Run_config.default nl mission in
   let sa = Lazy.force report16 in
+  let r = Tdf_flow.of_flow sa in
   (* the TDF universe matches the stuck-at universe size (2 per pin) *)
   Alcotest.(check int) "same universe size" sa.Flow.universe r.Tdf_flow.universe;
   (* same ordering: scan > debug > memory; and more transition faults die
@@ -195,6 +193,150 @@ let test_tdf_flow () =
   (* printable *)
   let s = Format.asprintf "%a" Olfu.Tdf_flow.pp r in
   Alcotest.(check bool) "pp" true (String.length s > 100)
+
+(* The oracle for [Tdf_flow.of_flow]: the five-step flow replayed over the
+   transition universe with its own engines.  Each step's analysis claims
+   every not-yet-claimed transition fault whose sa0 or sa1 fault it proves
+   untestable; the scan rule claims every transition fault on a site that
+   carries a scan-rule stuck-at fault. *)
+let tdf_oracle (cfg : Run_config.t) nl mission =
+  let open Olfu_atpg in
+  let open Olfu_manip in
+  let { Run_config.ff_mode; implic; _ } = cfg in
+  let u = Tdf.universe nl in
+  let claimed = Array.make (Array.length u) false in
+  let claim p =
+    let n = ref 0 in
+    Array.iteri
+      (fun i f ->
+        if (not claimed.(i)) && p f then begin
+          claimed.(i) <- true;
+          incr n
+        end)
+      u;
+    !n
+  in
+  let engine t = claim (fun f -> Tdf_classify.verdict t f <> None) in
+  let scan_sites = Hashtbl.create 999 in
+  List.iter
+    (fun (f : Fault.t) -> Hashtbl.replace scan_sites f.Fault.site ())
+    (Scan_trace.untestable_faults nl);
+  let scan = claim (fun f -> Hashtbl.mem scan_sites f.Tdf.site) in
+  let baseline = engine (Untestable.analyze ~ff_mode ~implic nl) in
+  let tied = Script.apply nl (Mission.tie_controls_script mission) in
+  let consts = Ternary.run ~ff_mode tied in
+  let debug_control =
+    engine (Untestable.analyze ~ff_mode ~consts ~implic tied)
+  in
+  let observable = Mission.observed_in_field mission tied in
+  let debug_observe =
+    engine
+      (Untestable.analyze ~ff_mode ~observable_output:observable ~consts
+         ~implic tied)
+  in
+  let forced = Mission.address_forcing mission in
+  let mission_nl =
+    Const_regs.tie_address_ports
+      (Const_regs.tie_address_registers tied ~forced)
+      ~forced
+  in
+  let memory =
+    engine
+      (Untestable.analyze ~ff_mode ~observable_output:observable ~implic
+         mission_nl)
+  in
+  let total = scan + baseline + debug_control + debug_observe + memory in
+  {
+    Tdf_flow.universe = Array.length u;
+    scan;
+    baseline;
+    debug_control;
+    debug_observe;
+    memory;
+    total;
+    fraction = float_of_int total /. float_of_int (max 1 (Array.length u));
+    seconds = 0.;
+  }
+
+let check_tdf_of_flow soc ?(ff_mode = Olfu_atpg.Ternary.Steady_state)
+    ?(implic = true) () =
+  let nl = Soc.generate soc in
+  let mission = Mission.of_soc soc nl in
+  let cfg = { Run_config.default with Run_config.ff_mode; implic } in
+  let want = tdf_oracle cfg nl mission in
+  let got = Tdf_flow.of_flow (Flow.run cfg nl mission) in
+  List.iter
+    (fun (name, field) ->
+      Alcotest.(check int) name (field want) (field got))
+    [
+      ("universe", fun r -> r.Tdf_flow.universe);
+      ("scan", fun r -> r.Tdf_flow.scan);
+      ("baseline", fun r -> r.Tdf_flow.baseline);
+      ("debug control", fun r -> r.Tdf_flow.debug_control);
+      ("debug observe", fun r -> r.Tdf_flow.debug_observe);
+      ("memory", fun r -> r.Tdf_flow.memory);
+      ("total", fun r -> r.Tdf_flow.total);
+    ];
+  Alcotest.(check (float 0.)) "fraction" want.Tdf_flow.fraction
+    got.Tdf_flow.fraction
+
+let test_step_stamps () =
+  (* the per-fault step record agrees with the per-step report: each
+     step stamped exactly the faults it classified, and the verdict
+     splits of all steps add up to the list's undetectable tally *)
+  let check r =
+    let stamped = Array.make (List.length r.Flow.steps) 0 in
+    Bytes.iter
+      (fun c ->
+        let k = Char.code c in
+        if k < Array.length stamped then stamped.(k) <- stamped.(k) + 1)
+      r.Flow.stamps;
+    List.iteri
+      (fun k s ->
+        Alcotest.(check int)
+          (Flow.source_name s.Flow.source ^ " stamps")
+          s.Flow.classified stamped.(k);
+        Alcotest.(check int)
+          (Flow.source_name s.Flow.source ^ " verdict split")
+          s.Flow.classified
+          (List.fold_left (fun acc (_, n) -> acc + n) 0 s.Flow.by_verdict))
+      r.Flow.steps;
+    Alcotest.(check int) "one stamp per fault" (Flist.size r.Flow.flist)
+      (Bytes.length r.Flow.stamps);
+    let split = Hashtbl.create 8 in
+    List.iter
+      (fun s ->
+        List.iter
+          (fun (u, n) ->
+            Hashtbl.replace split u
+              (n + Option.value (Hashtbl.find_opt split u) ~default:0))
+          s.Flow.by_verdict)
+      r.Flow.steps;
+    Flist.iteri
+      (fun i _ st ->
+        match st with
+        | Status.Undetectable u ->
+          Alcotest.(check bool) "undetectable fault stamped" true
+            (Char.code (Bytes.get r.Flow.stamps i) < Array.length stamped);
+          Hashtbl.replace split u (Hashtbl.find split u - 1)
+        | _ -> ())
+      r.Flow.flist;
+    Hashtbl.iter
+      (fun u n ->
+        Alcotest.(check int)
+          (Status.code (Status.Undetectable u) ^ " split = list tally")
+          0 n)
+      split
+  in
+  check (Lazy.force report16);
+  check
+    (Flow.run
+       {
+         Run_config.default with
+         Run_config.ff_mode = Olfu_atpg.Ternary.Cut;
+         implic = false;
+       }
+       (Lazy.force t16) (Lazy.force mission16))
 
 let test_flow_on_roles_mission_matches () =
   (* Mission.of_roles and Mission.of_soc describe the same mission for a
@@ -243,6 +385,18 @@ let () =
           Alcotest.test_case "cut mode ablation" `Quick test_flow_cut_mode_smaller;
           Alcotest.test_case "safety thresholds" `Quick test_safety_thresholds;
           Alcotest.test_case "tdf flow" `Quick test_tdf_flow;
+          Alcotest.test_case "step stamps" `Quick test_step_stamps;
+          Alcotest.test_case "tdf = oracle tcore16 steady" `Quick
+            (check_tdf_of_flow Soc.tcore16);
+          Alcotest.test_case "tdf = oracle tcore16 cut no-implic" `Quick
+            (check_tdf_of_flow Soc.tcore16 ~ff_mode:Olfu_atpg.Ternary.Cut
+               ~implic:false);
+          Alcotest.test_case "tdf = oracle tcore32 steady" `Slow
+            (check_tdf_of_flow Soc.tcore32);
+          Alcotest.test_case "tdf = oracle tcore32 cut" `Slow
+            (check_tdf_of_flow Soc.tcore32 ~ff_mode:Olfu_atpg.Ternary.Cut);
+          Alcotest.test_case "tdf = oracle tcore32_dft" `Slow
+            (check_tdf_of_flow Soc.tcore32_dft);
           Alcotest.test_case "roles mission" `Quick
             test_flow_on_roles_mission_matches;
           Alcotest.test_case "table renders" `Quick test_table1_renders;

@@ -467,10 +467,10 @@ let test_concurrent_jobs_invariant () =
 
 (* --- the daemon over a real socket --- *)
 
-let short_tmp_socket () =
+let short_tmp_socket ?(tag = "t") () =
   (* Unix socket paths are capped (~108 bytes); keep it short. *)
   Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "olfu-t%d.sock" (Unix.getpid ()))
+    (Printf.sprintf "olfu-%s%d.sock" tag (Unix.getpid ()))
 
 let test_daemon_protocol () =
   let socket = short_tmp_socket () in
@@ -526,6 +526,35 @@ let test_daemon_protocol () =
   Domain.join server;
   Alcotest.(check bool) "socket removed" false (Sys.file_exists socket)
 
+let test_daemon_connection_churn () =
+  (* serial connect -> ping -> close against a 2-worker daemon in this
+     process: every close must release only its own descriptor, or a
+     sibling worker's freshly accepted connection (same number) dies *)
+  let socket = short_tmp_socket ~tag:"c" () in
+  let server =
+    Domain.spawn (fun () ->
+        S.Server.serve { (S.Server.default ~socket) with workers = 2 })
+  in
+  let failures = ref [] in
+  for i = 1 to 2000 do
+    match S.Client.connect ~wait_seconds:10. socket with
+    | Error e -> failures := Printf.sprintf "%d connect: %s" i e :: !failures
+    | Ok conn ->
+      (match S.Client.rpc conn { Req.id = i; body = Req.Ping } with
+      | Ok r when r.Resp.output = "pong\n" -> ()
+      | Ok r -> failures := Printf.sprintf "%d: %S" i r.Resp.output :: !failures
+      | Error e -> failures := Printf.sprintf "%d: %s" i e :: !failures);
+      S.Client.close conn
+  done;
+  (match
+     S.Client.request ~wait_seconds:1. ~socket
+       { Req.id = 0; body = Req.Shutdown }
+   with
+  | Ok r -> Alcotest.(check string) "bye" "bye\n" r.Resp.output
+  | Error e -> Alcotest.failf "shutdown: %s" e);
+  Domain.join server;
+  Alcotest.(check (list string)) "every ping answered" [] (List.rev !failures)
+
 let () =
   Alcotest.run "service"
     [
@@ -564,5 +593,7 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "socket protocol" `Quick test_daemon_protocol;
+          Alcotest.test_case "connection churn" `Quick
+            test_daemon_connection_churn;
         ] );
     ]
