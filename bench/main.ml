@@ -312,13 +312,7 @@ let print_atpg_effort () =
   let nl = Lazy.force t16 in
   let mission = Lazy.force mission16 in
   let report = Olfu.Flow.run rc nl mission in
-  let mnl =
-    Script.apply report.Olfu.Flow.mission_netlist
-      [
-        Script.Tie_input ("scan_en", Logic4.L0);
-        Script.Tie_input ("scan_in0", Logic4.L0);
-      ]
-  in
+  let mnl = Olfu_safety.Classify.bmc_machine report.Olfu.Flow.mission_netlist in
   let observable = Olfu.Mission.observed_in_field mission mnl in
   (* one shared sample of target faults *)
   let fl = report.Olfu.Flow.flist in
@@ -394,13 +388,7 @@ let print_bmc_check () =
   let nl = Lazy.force t16 in
   let mission = Lazy.force mission16 in
   let report = Olfu.Flow.run rc nl mission in
-  let mnl =
-    Script.apply report.Olfu.Flow.mission_netlist
-      [
-        Script.Tie_input ("scan_en", Logic4.L0);
-        Script.Tie_input ("scan_in0", Logic4.L0);
-      ]
-  in
+  let mnl = Olfu_safety.Classify.bmc_machine report.Olfu.Flow.mission_netlist in
   ignore cfg;
   let observable = Olfu.Mission.observed_in_field mission mnl in
   let tried = ref 0 and refuted = ref 0 and unknown = ref 0 in
@@ -953,13 +941,7 @@ let implic_bench () =
   in
   (* spot-check conflict proofs against the bounded model checker on the
      full mission machine (scan pins held functional) *)
-  let mnl =
-    Olfu_manip.Script.apply on1.Olfu.Flow.mission_netlist
-      [
-        Olfu_manip.Script.Tie_input ("scan_en", Logic4.L0);
-        Olfu_manip.Script.Tie_input ("scan_in0", Logic4.L0);
-      ]
-  in
+  let mnl = Olfu_safety.Classify.bmc_machine on1.Olfu.Flow.mission_netlist in
   let observable = Olfu.Mission.observed_in_field mission mnl in
   let oracle_ok = ref true in
   let oracle_checked = ref 0 in
@@ -1518,7 +1500,7 @@ let invar_bench () =
   let base = U.analyze ~observable_output:observable m32 in
   let strengthened =
     U.analyze ~observable_output:observable
-      ~consts:(Ternary.run ~assume:(Inv.assume_facts r32) m32)
+      ~assume:(Inv.assume_facts r32)
       ~extra_edges:(Inv.edges r32) m32
   in
   let breakdown = U.untestable_breakdown ~invariant:strengthened base m32 in

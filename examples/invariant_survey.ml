@@ -7,7 +7,6 @@ open Olfu_netlist
 module Soc = Olfu_soc.Soc
 module Invar = Olfu_invar.Invar
 module U = Olfu_atpg.Untestable
-module Ternary = Olfu_atpg.Ternary
 
 let () =
   let cfg = Soc.tcore32 in
@@ -27,7 +26,7 @@ let () =
   let base = U.analyze ~observable_output:observable machine in
   let strengthened =
     U.analyze ~observable_output:observable
-      ~consts:(Ternary.run ~assume:(Invar.assume_facts r) machine)
+      ~assume:(Invar.assume_facts r)
       ~extra_edges:(Invar.edges r) machine
   in
   let rows = U.untestable_breakdown ~invariant:strengthened base machine in

@@ -69,22 +69,16 @@ let run cfg nl fl =
      ff_mode matches the per-frame combinational model the pattern
      engines use; captures must be observed for the walker's through-FF
      credit to be sound, so the prune is skipped otherwise *)
-  let static_pruned = ref 0 in
-  if observe_captures then
-    Trace.span trace ~cat:"step" "static prune" (fun () ->
-        let t =
-          Untestable.analyze ~ff_mode:Ternary.Cut ~observable_output ~trace nl
-        in
-        Trace.span trace ~cat:"engine" "classify" @@ fun () ->
-        Flist.iteri
-          (fun i f st ->
-            if active st then
-              match Untestable.fault_verdict t f with
-              | Some v ->
-                incr static_pruned;
-                Flist.set_status fl i v
-              | None -> ())
-          fl);
+  let static_pruned =
+    if not observe_captures then 0
+    else
+      Trace.span trace ~cat:"step" "static prune" (fun () ->
+          let t =
+            Untestable.analyze ~ff_mode:Ternary.Cut ~observable_output ~trace
+              nl
+          in
+          Untestable.classify ~jobs:1 ~trace t fl)
+  in
   (* phase 1: random patterns with fault dropping *)
   Trace.span trace ~cat:"step" "random patterns" (fun () ->
       let exhausted = ref false in
@@ -213,7 +207,7 @@ let run cfg nl fl =
     Trace.add trace "sat.targets" !sat_runs
   end;
   if Trace.enabled trace then begin
-    Trace.add trace "atpg.static_pruned" !static_pruned;
+    Trace.add trace "atpg.static_pruned" static_pruned;
     Trace.add trace "atpg.proved_untestable" !proved;
     Trace.add trace "atpg.sat_settled" !sat_settled;
     Trace.add trace "atpg.patterns" (List.length !patterns)
@@ -221,7 +215,7 @@ let run cfg nl fl =
   {
     patterns = List.rev !patterns;
     detected = Flist.count_status fl Status.Detected;
-    static_pruned = !static_pruned;
+    static_pruned;
     proved_untestable = !proved;
     aborted = !aborted;
     random_patterns = !random_patterns;

@@ -14,7 +14,7 @@ type t = {
    binary values over the mission, it is not constant. *)
 let join a b = if Logic4.equal a b then a else Logic4.X
 
-let run ?(ff_mode = Steady_state) ?(assume = []) ?(max_iters = 64) nl =
+let fixpoint ~ff_mode ~assume ~max_iters nl =
   let env = Comb_sim.init nl Logic4.X in
   let seqs = Netlist.seq_nodes nl in
   let resets = Netlist.nodes_with_role nl Netlist.Reset in
@@ -100,6 +100,19 @@ let run ?(ff_mode = Steady_state) ?(assume = []) ?(max_iters = 64) nl =
     else Array.iteri (fun k i -> env.(i) <- state.(k)) seqs;
     Comb_sim.settle nl env;
     { values = env; iterations = !iterations; converged = !converged }
+
+(* One fixpoint per netlist and exact key, shared by every caller: the
+   flow steps, the safety relabel passes, lint, slice and the service all
+   ask the same few questions of the same netlists. *)
+type Analysis.cache +=
+  | Fixpoint of (ff_mode * (int * Logic4.t) list * int) * t Once.t
+
+let run ?(ff_mode = Steady_state) ?(assume = []) ?(max_iters = 64) nl =
+  let key = (ff_mode, assume, max_iters) in
+  Analysis.memo (Analysis.get nl)
+    (function Fixpoint (k, c) when k = key -> Some c | _ -> None)
+    (fun c -> Fixpoint (key, c))
+    (fun () -> fixpoint ~ff_mode ~assume ~max_iters nl)
 
 let const_of t i = t.values.(i)
 let is_const t i = Logic4.is_binary t.values.(i)

@@ -51,7 +51,13 @@ val run :
     sequential nodes are pinned in state space every iteration (the
     paper's "tie the flip flops the mission holds constant").  Assumed
     combinational non-sequential nodes are overwritten by evaluation and
-    have no effect. *)
+    have no effect.
+
+    Memoized per netlist ({!Olfu_netlist.Analysis.memo}) on the exact
+    ([ff_mode], [assume], [max_iters]) key: equal arguments on the same
+    netlist return the same physical result, so every engine asking the
+    same question shares one fixpoint.  The [values] array is therefore
+    shared and must never be mutated. *)
 
 val const_of : t -> int -> Logic4.t
 val is_const : t -> int -> bool

@@ -53,30 +53,12 @@ let make_walker_for ?cache nl implic =
     closure_ck = None;
   }
 
-let analyze ?ff_mode ?(observable_output = fun _ -> true) ?consts
-    ?(implic = true) ?learn_depth ?learn_budget ?extra_edges
-    ?(trace = Trace.null) nl =
-  let _ = Trace.span trace ~cat:"engine" "graph" (fun () -> Analysis.get nl) in
-  let consts =
-    match consts with
-    | Some c -> c
-    | None ->
-      Trace.span trace ~cat:"engine" "ternary" (fun () ->
-          Ternary.run ?ff_mode nl)
-  in
+let observed trace nl consts implic observable_output =
   let obs =
     Trace.span trace ~cat:"engine" "observe" (fun () ->
         Observe.run ~observable_output nl ~consts:consts.Ternary.values)
   in
   let stem_cache = Hashtbl.create 997 in
-  let implic =
-    if implic then
-      Some
-        (Trace.span trace ~cat:"engine" "implic" (fun () ->
-             Implic.build ?learn_depth ?learn_budget ?extra_edges
-               ~consts:consts.Ternary.values nl))
-    else None
-  in
   {
     netlist = nl;
     consts;
@@ -86,6 +68,27 @@ let analyze ?ff_mode ?(observable_output = fun _ -> true) ?consts
     implic;
     walker = make_walker_for ~cache:stem_cache nl implic;
   }
+
+let analyze ?ff_mode ?(observable_output = fun _ -> true) ?assume
+    ?(implic = true) ?learn_depth ?learn_budget ?extra_edges
+    ?(trace = Trace.null) nl =
+  let _ = Trace.span trace ~cat:"engine" "graph" (fun () -> Analysis.get nl) in
+  let consts =
+    Trace.span trace ~cat:"engine" "ternary" (fun () ->
+        Ternary.run ?ff_mode ?assume nl)
+  in
+  let implic =
+    if implic then
+      Some
+        (Trace.span trace ~cat:"engine" "implic" (fun () ->
+             Implic.build ?learn_depth ?learn_budget ?extra_edges
+               ~consts:consts.Ternary.values nl))
+    else None
+  in
+  observed trace nl consts implic observable_output
+
+let with_observable ?(trace = Trace.null) t observable_output =
+  observed trace t.netlist t.consts t.implic observable_output
 
 let make_walker t = make_walker_for t.netlist t.implic
 let implication_db t = t.implic
@@ -148,8 +151,6 @@ let stem_observable_w t w d =
     let hit = walk_observable t w ~value:(fun i -> consts.(i)) d in
     Hashtbl.replace w.cache d hit;
     hit
-
-let stem_possibly_observable t d = stem_observable_w t t.walker d
 
 let stuck_value (f : Fault.t) = if f.Fault.stuck then Logic4.L1 else Logic4.L0
 
@@ -499,6 +500,3 @@ let untestable_breakdown ?software ?invariant t nl =
     (Status.Software, !sw);
     (Status.Invariant, !inv);
   ]
-
-let untestable_count t nl =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (untestable_breakdown t nl)

@@ -39,19 +39,10 @@ type t = {
   walker : walker;
 }
 
-val stem_possibly_observable : t -> int -> bool
-(** Sound per-stem check behind UB verdicts on output pins and clock
-    pins: propagates a hypothetical change on the stem forward through
-    its fanout-cone schedule ({!Olfu_netlist.Analysis}), refusing to
-    trust blocking constants on side inputs that lie inside the stem's
-    own fanout cone (reconvergence makes them fault-correlated).  The
-    cheap global analysis is only a filter; a stem is classified blocked
-    only when this confirms it. *)
-
 val analyze :
   ?ff_mode:Ternary.ff_mode ->
   ?observable_output:(int -> bool) ->
-  ?consts:Ternary.t ->
+  ?assume:(int * Olfu_logic.Logic4.t) list ->
   ?implic:bool ->
   ?learn_depth:int ->
   ?learn_budget:int ->
@@ -59,10 +50,11 @@ val analyze :
   ?trace:Olfu_obs.Trace.sink ->
   Netlist.t ->
   t
-(** [consts], when given, must be the result of [Ternary.run] on the same
-    netlist; it skips the constant-propagation fixpoint (the flow runs
-    several analyses over one tied netlist that differ only in
-    observability).  [ff_mode] is ignored when [consts] is supplied.
+(** [ff_mode] and [assume] select the constant-propagation fixpoint,
+    {!Ternary.run} (memoized per netlist, so analyses of one netlist
+    that differ only in observability or learning share it); [assume]
+    forces nodes to constants as in {!Ternary.run} — the mission tie
+    script, software-proven facts or proved state invariants.
     [implic] (default [true]) builds the static implication database so
     {!fault_verdict} can return UC verdicts; [learn_depth] /
     [learn_budget] / [extra_edges] are passed to {!Implic.build}
@@ -71,8 +63,16 @@ val analyze :
     analysis is then conditional on those facts).
 
     A recording [trace] attributes each phase to an ["engine"]-category
-    span: ["graph"] (analysis construction), ["ternary"] (skipped when
-    [consts] is supplied), ["observe"], ["implic"]. *)
+    span: ["graph"] (analysis construction), ["ternary"], ["implic"],
+    ["observe"]. *)
+
+val with_observable : ?trace:Olfu_obs.Trace.sink -> t -> (int -> bool) -> t
+(** [with_observable t observable_output]: the analysis of the same
+    netlist, constants and implication database as [t] under a different
+    observability — only {!Observe.run} is rerun (one ["observe"] span),
+    with fresh walker caches.  Verdicts equal those of a fresh
+    {!analyze} with the new [observable_output] and [t]'s other
+    arguments. *)
 
 val fault_verdict : t -> Fault.t -> Status.t option
 (** [Some (Undetectable _)] when provably untestable, [None] otherwise. *)
@@ -100,22 +100,20 @@ val classify : ?jobs:int -> ?trace:Olfu_obs.Trace.sink -> t -> Flist.t -> int
     and the jobs-invariant counters ["classify.faults"],
     ["classify.examined"] and ["classify.classified"]. *)
 
-val untestable_count : t -> Netlist.t -> int
-(** Number of untestable faults over the full universe of the netlist
-    (faults on tie cells excluded, as in {!Fault.universe}). *)
-
 val untestable_breakdown :
   ?software:t ->
   ?invariant:t ->
   t ->
   Netlist.t ->
   (Status.undetectable * int) list
-(** {!untestable_count} split by verdict class —
+(** Number of untestable faults over the full universe of the netlist
+    (faults on tie cells excluded, as in {!Fault.universe}), split by
+    verdict class —
     [[Tied, n; Blocked, n; Conflict, n; Software, n; Invariant, n]] in
     that order — so Table-I-style reports can attribute the proofs to
     the engine that made them.  [software], when given, must be an
     analysis of the same netlist strengthened with software-proven
-    constants ([Ternary.run ~assume] over {!Olfu_absint} facts): faults
+    constants ([analyze ~assume] over {!Olfu_absint} facts): faults
     the base analysis leaves unproved but the strengthened one
     classifies are counted under {!Status.Software} (0 without it).
     [invariant], likewise, is an analysis of the mission-held machine

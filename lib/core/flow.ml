@@ -100,13 +100,13 @@ let verify_scan_rule nl =
         on_se_branch || Untestable.fault_verdict t f <> None)
       (Scan_trace.untestable_faults tied)
 
+let analysis (cfg : Run_config.t) ?observable_output nl =
+  Untestable.analyze ~ff_mode:cfg.Run_config.ff_mode ?observable_output
+    ~implic:cfg.Run_config.implic ~trace:cfg.Run_config.trace nl
+
 (* Classify all still-unclassified faults that the engine proves
    untestable in the given circuit model. *)
-let engine_step (cfg : Run_config.t) ?observable_output ?consts nl fl =
-  let t =
-    Untestable.analyze ~ff_mode:cfg.Run_config.ff_mode ?observable_output
-      ?consts ~implic:cfg.Run_config.implic ~trace:cfg.Run_config.trace nl
-  in
+let classify (cfg : Run_config.t) t fl =
   Untestable.classify ~jobs:cfg.Run_config.jobs ~trace:cfg.Run_config.trace t
     fl
 
@@ -152,24 +152,17 @@ let run (cfg : Run_config.t) nl mission =
   in
   (* 1b. baseline: untestable before any manipulation (reset network,
      steady-state constants of the mission circuit itself) *)
-  let baseline = stepped Baseline (fun () -> engine_step cfg nl fl) in
-  (* 2+3 share the tied netlist; its ternary fixpoint is computed once,
-     outside both steps, so neither step's seconds double-count it (it is
-     reported as a [prep] entry and its own "ternary" engine span). *)
+  let baseline = stepped Baseline (fun () -> classify cfg (analysis cfg nl) fl) in
   let tied_controls, tied_t =
     timed (fun () ->
         Trace.span trace ~cat:"engine" "manip" (fun () ->
             Script.apply nl (Mission.tie_controls_script mission)))
   in
-  let tied_consts, shared_ternary_t =
-    timed (fun () ->
-        Trace.span trace ~cat:"engine" "ternary" (fun () ->
-            Ternary.run ~ff_mode:cfg.Run_config.ff_mode tied_controls))
-  in
-  (* 2. debug control ties *)
+  (* 2. debug control ties; the analysis is built inside the step and
+     reused by step 3 *)
+  let tied = lazy (analysis cfg tied_controls) in
   let control =
-    stepped Debug_control (fun () ->
-        engine_step cfg ~consts:tied_consts tied_controls fl)
+    stepped Debug_control (fun () -> classify cfg (Lazy.force tied) fl)
   in
   (* 3. debug observation: stop observing the debug buses (and scan-outs).
      Same netlist as step 2 — only observability changes. *)
@@ -180,8 +173,9 @@ let run (cfg : Run_config.t) nl mission =
   in
   let observe =
     stepped Debug_observe (fun () ->
-        engine_step cfg ~observable_output:observable ~consts:tied_consts
-          tied_controls fl)
+        classify cfg
+          (Untestable.with_observable ~trace (Lazy.force tied) observable)
+          fl)
   in
   (* 4. memory map: tie forced address registers and ports *)
   let mission_nl, mission_nl_t =
@@ -197,7 +191,7 @@ let run (cfg : Run_config.t) nl mission =
   in
   let memory =
     stepped Memory (fun () ->
-        engine_step cfg ~observable_output:observable mission_nl fl)
+        classify cfg (analysis cfg ~observable_output:observable mission_nl) fl)
   in
   let steps = [ scan; baseline; control; observe; memory ] in
   let total = List.fold_left (fun acc s -> acc + s.classified) 0 steps in
@@ -211,7 +205,6 @@ let run (cfg : Run_config.t) nl mission =
         ("fault universe", flist_t);
         ("fault collapsing", collapse_t);
         ("tied netlist", tied_t);
-        ("shared ternary fixpoint", shared_ternary_t);
         ("mission observability", mission_obs_t);
         ("mission netlist", mission_nl_t);
         ("verdict accounting", !tally_s);

@@ -50,9 +50,8 @@ type report = {
   steps : step_report list;
   prep : (string * float) list;
       (** named work attributed to no step: fault-universe construction,
-          the netlist manipulations, the ternary fixpoint of the tied
-          netlist (shared by the two Debug steps), the mission
-          observability computation, and the per-step stamping sweeps —
+          the netlist manipulations, the mission observability
+          computation, and the per-step stamping sweeps —
           step seconds plus prep seconds account for the flow's wall
           time (the [bench -- obs] gate checks within 5%) *)
   total_olfu : int;
@@ -72,8 +71,9 @@ val run : Run_config.t -> Netlist.t -> Mission.t -> report
     any value); [cfg.implic] enables the static implication engine's UC
     verdicts inside every classification step (disabling it reproduces
     the pure UT+UB flow).  The Debug control and Debug observation steps
-    analyze the same tied netlist, so the ternary constant fixpoint is
-    computed once, outside both steps, and reported under [prep].
+    analyze the same tied netlist: the observation step reuses the
+    control step's analysis ({!Olfu_atpg.Untestable.with_observable}),
+    so only its observability is recomputed.
 
     A recording [cfg.trace] gets one ["step"]-category span per step
     (named by {!source_name}) with the engine attribution

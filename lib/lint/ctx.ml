@@ -45,8 +45,6 @@ type t = {
   limits : thresholds;
   software : software option;
   invariants : invariants option;
-  ternary : Olfu_atpg.Ternary.t Once.t;
-  mission_ternary : Olfu_atpg.Ternary.t Once.t;
   scoap : Olfu_atpg.Scoap.t Once.t;
   observe : Olfu_atpg.Observe.t Once.t;
   dead : int list Once.t;
@@ -239,21 +237,16 @@ let combined_assume nl software =
 
 let create ?(thresholds = default_thresholds) ?software ?invariants nl =
   let chains = Once.make (fun () -> trace_chains nl) in
-  let ternary = Once.make (fun () -> Olfu_atpg.Ternary.run nl) in
   {
     nl;
     limits = thresholds;
     software;
     invariants;
-    ternary;
-    mission_ternary =
-      Once.make (fun () ->
-          Olfu_atpg.Ternary.run ~assume:(combined_assume nl software) nl);
     scoap = Once.make (fun () -> Olfu_atpg.Scoap.run nl);
     observe =
       Once.make (fun () ->
           Olfu_atpg.Observe.run nl
-            ~consts:(Once.force ternary).Olfu_atpg.Ternary.values);
+            ~consts:(Olfu_atpg.Ternary.run nl).Olfu_atpg.Ternary.values);
     dead = Once.make (fun () -> compute_dead nl);
     chains;
     chain_cells =
@@ -280,8 +273,8 @@ let software t = t.software
 let invariants t = t.invariants
 let assumptions t = combined_assume t.nl t.software
 let name t i = node_label t.nl i
-let ternary t = Once.force t.ternary
-let mission_ternary t = Once.force t.mission_ternary
+let ternary t = Olfu_atpg.Ternary.run t.nl
+let mission_ternary t = Olfu_atpg.Ternary.run ~assume:(assumptions t) t.nl
 let scoap t = Once.force t.scoap
 let observe t = Once.force t.observe
 let dead_nodes t = Once.force t.dead

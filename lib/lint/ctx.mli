@@ -5,9 +5,11 @@ open Olfu_netlist
 
     Every expensive whole-netlist analysis a rule may want (ternary
     implication, SCOAP, X-path observability, dead-cone reachability,
-    scan-path tracing) is computed lazily and memoized here, so a run of
-    the full registry performs each analysis at most once no matter how
-    many rules consume it.  Each artifact is a {!Olfu_netlist.Once.t}, so
+    scan-path tracing) is computed lazily and memoized — the ternary
+    fixpoints by {!Olfu_atpg.Ternary.run} itself, per netlist, the rest
+    here — so a run of the full registry performs each analysis at most
+    once no matter how many rules consume it.  Each artifact here is a
+    {!Olfu_netlist.Once.t}, so
     one context may serve rule runs on several domains at once (the
     analysis service shares a context across requests).
 

@@ -30,7 +30,7 @@ val make :
   Json.t
 (** Build the manifest object.  [config] renders under ["config"];
     [steps] under ["steps"]; [prep] lists named setup phases that belong
-    to no step (e.g. the shared ternary fixpoint) and participate in the
+    to no step (e.g. netlist manipulations) and participate in the
     step-coverage sum; [extra] fields are appended verbatim at top
     level.  ["engines"], ["engine_seconds_total"], ["counters"] and
     ["gauges"] come from the sink; ["peak_heap_bytes"] records the

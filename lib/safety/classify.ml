@@ -1,7 +1,6 @@
 open Olfu_netlist
 open Olfu_fault
 module U = Olfu_atpg.Untestable
-module Ternary = Olfu_atpg.Ternary
 module Trace = Olfu_obs.Trace
 module Absint = Olfu_absint.Absint
 module Script = Olfu_manip.Script
@@ -115,12 +114,9 @@ let partition ?(config = default) ~facts (flow : Olfu.Flow.report) mission =
      Tied/Blocked/Conflict proof it replaces as evidence *)
   let relabel label name ~assume ?extra_edges nl =
     let snap = Array.init size (Flist.status fl) in
-    let consts =
-      Trace.span trace ~cat:"engine" "ternary" (fun () ->
-          Ternary.run ~ff_mode:rc.Olfu.Run_config.ff_mode ~assume nl)
-    in
     let t =
-      U.analyze ~observable_output:observable ~consts
+      U.analyze ~ff_mode:rc.Olfu.Run_config.ff_mode
+        ~observable_output:observable ~assume
         ~implic:rc.Olfu.Run_config.implic ?extra_edges ~trace nl
     in
     let n =

@@ -391,11 +391,8 @@ let exec_implic _session sink (r : Req.run) (l : Session.loaded) ~learn_depth
       let module Inv = Olfu_invar.Invar in
       let ir = Inv.shared ~jobs ~trace:sink nl in
       let strengthened =
-        U.analyze ~learn_depth ~learn_budget ~trace:sink
-          ~consts:
-            (Olfu_atpg.Ternary.run ~ff_mode:r.ff_mode
-               ~assume:(Inv.assume_facts ir) nl)
-          ~extra_edges:(Inv.edges ir) nl
+        U.analyze ~ff_mode:r.ff_mode ~learn_depth ~learn_budget ~trace:sink
+          ~assume:(Inv.assume_facts ir) ~extra_edges:(Inv.edges ir) nl
       in
       List.assoc Olfu_fault.Status.Invariant
         (U.untestable_breakdown ~invariant:strengthened t nl)

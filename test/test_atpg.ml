@@ -176,6 +176,35 @@ let test_ternary_seq_assume () =
   Alcotest.(check bool) "assumed input reaches the flop" true
     (Logic4.equal (Ternary.const_of ti ff) Logic4.L0)
 
+let test_ternary_memo () =
+  (* one fixpoint per netlist and exact (ff_mode, assume, max_iters)
+     key: equal arguments share the physical result, any differing
+     argument (or another netlist) gets its own *)
+  let build () =
+    let b = B.create () in
+    let d = B.input b "d" in
+    let rst = B.input b ~roles:[ Netlist.Reset ] "rstn" in
+    let ff = B.dffr b ~name:"ff" ~d ~rstn:rst in
+    let _ = B.output b "q" ff in
+    (B.freeze_exn b, ff)
+  in
+  let nl, ff = build () in
+  let base = Ternary.run nl in
+  let same name t = Alcotest.(check bool) name true (t == base) in
+  let differs name t = Alcotest.(check bool) name false (t == base) in
+  same "repeat" (Ternary.run nl);
+  same "explicit defaults"
+    (Ternary.run ~ff_mode:Ternary.Steady_state ~assume:[] ~max_iters:64 nl);
+  differs "ff_mode" (Ternary.run ~ff_mode:Ternary.Cut nl);
+  differs "assume" (Ternary.run ~assume:[ (ff, Logic4.L1) ] nl);
+  differs "max_iters" (Ternary.run ~max_iters:16 nl);
+  differs "other netlist" (Ternary.run (fst (build ())));
+  let held = Ternary.run ~assume:[ (ff, Logic4.L1) ] nl in
+  Alcotest.(check bool) "assume key shared" true
+    (Ternary.run ~assume:[ (ff, Logic4.L1) ] nl == held);
+  Alcotest.(check bool) "assume value keyed" false
+    (Ternary.run ~assume:[ (ff, Logic4.L0) ] nl == held)
+
 let test_observe_floating_output () =
   (* disconnecting the only observation point makes the whole cone dead *)
   let b = B.create () in
@@ -676,6 +705,7 @@ let () =
           Alcotest.test_case "oscillator" `Quick test_ternary_oscillator;
           Alcotest.test_case "counts" `Quick test_ternary_counts;
           Alcotest.test_case "seq assume" `Quick test_ternary_seq_assume;
+          Alcotest.test_case "memo" `Quick test_ternary_memo;
         ] );
       ( "observe",
         [ Alcotest.test_case "floating output" `Quick test_observe_floating_output ] );

@@ -37,6 +37,43 @@ let test_flow_source_ordering () =
     (r.Flow.total_olfu - Flow.step_count r Flow.Baseline)
     (Flow.paper_total r)
 
+let test_flow_implic_builds () =
+  (* the Debug observation step reuses the Debug control step's
+     analysis, so a flow builds one implication database per analyzed
+     netlist: untouched, tied and mission *)
+  let trace = Olfu_obs.Trace.create () in
+  let cfg = { Run_config.default with Run_config.implic = true; trace } in
+  ignore (Flow.run cfg (Lazy.force t16) (Lazy.force mission16));
+  let builds =
+    List.filter
+      (fun s -> s.Olfu_obs.Trace.cat = "engine" && s.Olfu_obs.Trace.name = "implic")
+      (Olfu_obs.Trace.spans trace)
+  in
+  Alcotest.(check int) "implic spans" 3 (List.length builds)
+
+let test_with_observable_matches_fresh () =
+  (* re-observing an analysis must give, fault for fault, the verdicts a
+     fresh analysis under the new observability gives *)
+  let open Olfu_atpg in
+  let mission = Lazy.force mission16 in
+  let tied =
+    Olfu_manip.Script.apply (Lazy.force t16)
+      (Mission.tie_controls_script mission)
+  in
+  let observable = Mission.observed_in_field mission tied in
+  let base = Untestable.analyze tied in
+  let reobserved = Untestable.with_observable base observable in
+  let fresh = Untestable.analyze ~observable_output:observable tied in
+  let mismatches = ref 0 and moved = ref 0 in
+  Array.iter
+    (fun f ->
+      let v = Untestable.fault_verdict fresh f in
+      if Untestable.fault_verdict reobserved f <> v then incr mismatches;
+      if Untestable.fault_verdict base f <> v then incr moved)
+    (Fault.universe tied);
+  Alcotest.(check int) "verdicts = fresh analysis" 0 !mismatches;
+  Alcotest.(check bool) "observability matters" true (!moved > 0)
+
 let test_scan_rule_verifies () =
   (* the Tetramax cross-check of Sec. 4 on the generated SoC *)
   Alcotest.(check bool) "engine confirms the scan rule" true
@@ -224,15 +261,11 @@ let tdf_oracle (cfg : Run_config.t) nl mission =
   let scan = claim (fun f -> Hashtbl.mem scan_sites f.Tdf.site) in
   let baseline = engine (Untestable.analyze ~ff_mode ~implic nl) in
   let tied = Script.apply nl (Mission.tie_controls_script mission) in
-  let consts = Ternary.run ~ff_mode tied in
-  let debug_control =
-    engine (Untestable.analyze ~ff_mode ~consts ~implic tied)
-  in
+  let debug_control = engine (Untestable.analyze ~ff_mode ~implic tied) in
   let observable = Mission.observed_in_field mission tied in
   let debug_observe =
     engine
-      (Untestable.analyze ~ff_mode ~observable_output:observable ~consts
-         ~implic tied)
+      (Untestable.analyze ~ff_mode ~observable_output:observable ~implic tied)
   in
   let forced = Mission.address_forcing mission in
   let mission_nl =
@@ -379,6 +412,9 @@ let () =
           Alcotest.test_case "runs" `Quick test_flow_runs;
           Alcotest.test_case "source ordering" `Quick test_flow_source_ordering;
           Alcotest.test_case "scan rule verified" `Quick test_scan_rule_verifies;
+          Alcotest.test_case "implic builds" `Quick test_flow_implic_builds;
+          Alcotest.test_case "re-observed = fresh" `Quick
+            test_with_observable_matches_fresh;
           Alcotest.test_case "idempotent" `Quick test_flow_idempotent_attribution;
           Alcotest.test_case "podem soundness sample" `Slow
             test_soundness_sample_podem;

@@ -299,77 +299,31 @@ let prop_seq_jobs_deterministic =
       let reference = run 1 in
       List.for_all (fun jobs -> run jobs = reference) [ 2; 4 ])
 
-(* --- diagnosis --- *)
+(* --- random pattern source --- *)
 
-let test_diagnosis_pinpoints_fault () =
-  let nl = Test_support.full_adder () in
-  let fl = Flist.full nl in
-  let injected = Flist.fault fl 7 in
-  let pats = Comb_fsim.random_patterns ~seed:9 nl 24 in
-  let observations =
-    Array.to_list (Array.map (fun p -> Diagnose.observe ~faulty:injected nl p) pats)
-  in
-  let ranked = Diagnose.candidates nl fl observations in
-  (* the injected fault must fully explain every observation and rank in
-     the top equivalence group *)
-  let top = List.hd ranked in
-  Alcotest.(check int) "top explains all" (List.length observations)
-    top.Diagnose.explained;
-  let perfect =
-    List.filter
-      (fun c ->
-        c.Diagnose.explained = List.length observations
-        && c.Diagnose.contradicted = 0)
-      ranked
-  in
-  Alcotest.(check bool) "injected fault among perfect" true
-    (List.exists (fun c -> c.Diagnose.fault = 7) perfect);
-  (* the perfect set is small relative to the universe *)
-  Alcotest.(check bool) "focused" true
-    (List.length perfect * 4 < Flist.size fl)
-
-let test_diagnosis_good_device () =
-  let nl = Test_support.full_adder () in
-  let fl = Flist.full nl in
-  let pats = Comb_fsim.random_patterns ~seed:5 nl 16 in
-  let observations =
-    Array.to_list (Array.map (fun p -> Diagnose.observe nl p) pats)
-  in
-  let ranked = Diagnose.candidates nl fl observations in
-  (* a fault-free device contradicts every detectable fault somewhere *)
-  let perfect =
-    List.filter
-      (fun c -> c.Diagnose.contradicted = 0 && c.Diagnose.explained > 0)
-      ranked
-  in
-  Alcotest.(check int) "no fault explains a good device" 0
-    (List.length perfect)
-
-let prop_diagnosis_contains_culprit =
-  QCheck2.Test.make ~count:10 ~name:"diagnosis always contains the culprit"
-    QCheck2.Gen.(int_bound 1_000_000)
-    (fun seed ->
+let prop_random_patterns_shape =
+  QCheck2.Test.make ~count:20
+    ~name:"one binary value per source, n patterns"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 100))
+    (fun (seed, n) ->
       let rng = Random.State.make [| seed |] in
-      let nl = Test_support.random_comb_netlist rng ~inputs:4 ~gates:15 in
-      let fl = Flist.full nl in
-      let fi = Random.State.int rng (Flist.size fl) in
-      let f = Flist.fault fl fi in
-      if f.Fault.site.Fault.pin = Cell.Pin.Clk then true
-      else begin
-        let pats = Comb_fsim.random_patterns ~seed nl 16 in
-        let observations =
-          Array.to_list
-            (Array.map (fun p -> Diagnose.observe ~faulty:f nl p) pats)
-        in
-        let ranked = Diagnose.candidates nl fl observations in
-        let nobs = List.length observations in
-        List.exists
-          (fun c ->
-            c.Diagnose.fault = fi
-            && c.Diagnose.explained = nobs
-            && c.Diagnose.contradicted = 0)
-          ranked
-      end)
+      let nl =
+        Test_support.random_seq_netlist rng ~inputs:3 ~gates:12 ~flops:3
+      in
+      let width =
+        Array.length (Netlist.inputs nl) + Array.length (Netlist.seq_nodes nl)
+      in
+      let pats = Comb_fsim.random_patterns ~seed nl n in
+      Array.length pats = n
+      && Array.for_all
+           (fun p -> Array.length p = width && Array.for_all Logic4.is_binary p)
+           pats)
+
+let test_random_patterns_seeded () =
+  let nl = Test_support.full_adder () in
+  let pats seed = Comb_fsim.random_patterns ~seed nl 64 in
+  Alcotest.(check bool) "same seed, same patterns" true (pats 11 = pats 11);
+  Alcotest.(check bool) "other seed, other patterns" false (pats 11 = pats 12)
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -387,12 +341,10 @@ let () =
           qt prop_cone_engine_matches_full;
           qt prop_cone_matches_detects_oracle;
         ] );
-      ( "diagnose",
+      ( "patterns",
         [
-          Alcotest.test_case "pinpoints fault" `Quick
-            test_diagnosis_pinpoints_fault;
-          Alcotest.test_case "good device" `Quick test_diagnosis_good_device;
-          qt prop_diagnosis_contains_culprit;
+          qt prop_random_patterns_shape;
+          Alcotest.test_case "seeded" `Quick test_random_patterns_seeded;
         ] );
       ( "seq",
         [

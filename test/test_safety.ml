@@ -149,8 +149,7 @@ let test_software_breakdown () =
     (List.assoc Status.Software base);
   (* the software proves g is held at 0: x becomes constant and its
      s-a-0 faults turn untestable — attributed to the Software class *)
-  let consts = Olfu_atpg.Ternary.run ~assume:[ (gid, Logic4.L0) ] nl in
-  let tsw = U.analyze ~consts nl in
+  let tsw = U.analyze ~assume:[ (gid, Logic4.L0) ] nl in
   let bd = U.untestable_breakdown ~software:tsw t nl in
   Alcotest.(check bool) "software proofs appear" true
     (List.assoc Status.Software bd > 0);
